@@ -12,7 +12,7 @@ BENCH_JSON ?= BENCH_PR9.json
 CI_MIN_SOLVED ?= 45
 CI_MAX_NODES ?= 16000000
 
-.PHONY: all build test smoke ablation-smoke optimal-smoke serve-smoke router-smoke fault-smoke stream-smoke check bench-json trend clean
+.PHONY: all build test smoke ablation-smoke optimal-smoke serve-smoke router-smoke fault-smoke stream-smoke perfbench-smoke check bench-json trend clean
 
 all: build
 
@@ -24,10 +24,12 @@ test:
 
 # Three benchmark tasks (one per domain) through the real CLI sweep, on a
 # small dataset and a Domain pool — exercises synthesis, the interaction
-# loop, and the parallel runner end to end in a few seconds.
+# loop, and the parallel runner end to end in a few seconds.  An unknown
+# task id is a usage error and must exit 2.
 smoke: build
 	./_build/default/bin/imageeye.exe sweep --tasks 1,17,30 --images 8 \
 	  --timeout 30 --jobs $(JOBS)
+	./_build/default/bin/imageeye.exe show 99; test $$? -eq 2
 
 # The product-domain ablation rows end to end through the CLI: each
 # refinement disabled alone must still solve the smoke tasks, and an
@@ -78,6 +80,13 @@ fault-smoke: build
 # op over the wire.
 stream-smoke: build
 	bash scripts/stream_smoke.sh
+
+# The benchmark's own output checks on one stream pass: every frame
+# streamed, the recorded edit digest, no mismatch after the last repair.
+# It fails only when perfbench exits non-zero; timings are printed, not
+# gated.
+perfbench-smoke:
+	bash perfbench/run.sh --workload stream --seconds 1
 
 check: build test smoke ablation-smoke optimal-smoke stream-smoke
 	@echo "check OK"

@@ -113,8 +113,17 @@ let tasks_cmd =
 
 let task_id_arg = Arg.(required & pos 0 (some int) None & info [] ~docv:"TASK-ID")
 
+(* A benchmark task by id.  An unknown id is a usage error: it exits 2,
+   as an unknown --ablation does. *)
+let task_or_exit id =
+  match Benchmarks.by_id id with
+  | t -> t
+  | exception Not_found ->
+      Printf.eprintf "error: no benchmark task %d (ids run 1-%d)\n%!" id Benchmarks.count;
+      exit 2
+
 let show id =
-  let t = Benchmarks.by_id id in
+  let t = task_or_exit id in
   Printf.printf "task %d (%s, size %d)\n%s\n%s\n" t.Task.id
     (Dataset.domain_name t.Task.domain) (Task.size t) t.Task.description
     (Lang.program_to_string t.Task.ground_truth)
@@ -126,7 +135,7 @@ let show_cmd =
 (* ---------- learn ---------- *)
 
 let learn id images seed timeout save =
-  let t = Benchmarks.by_id id in
+  let t = task_or_exit id in
   let n = Option.value images ~default:(Dataset.default_image_count t.Task.domain) in
   let dataset = Dataset.generate ~n_images:n ~seed t.Task.domain in
   Printf.printf "task %d: %s\n" id t.Task.description;
@@ -192,14 +201,7 @@ let sweep task_ids images seed timeout jobs value_bank fwd_bwd optimal frontier
   let tasks =
     match task_ids with
     | [] -> Benchmarks.all
-    | ids ->
-        List.map
-          (fun id ->
-            match Benchmarks.by_id id with
-            | t -> t
-            | exception Not_found ->
-                failwith (Printf.sprintf "no benchmark task %d (ids run 1-%d)" id Benchmarks.count))
-          ids
+    | ids -> List.map task_or_exit ids
   in
   let domains = List.sort_uniq compare (List.map (fun t -> t.Task.domain) tasks) in
   (* Build every dataset and batch universe up front: the per-task jobs
@@ -429,7 +431,7 @@ let apply_cmd =
 (* ---------- accuracy ---------- *)
 
 let accuracy id samples seed =
-  let t = Benchmarks.by_id id in
+  let t = task_or_exit id in
   let dataset =
     Dataset.generate ~n_images:(Dataset.default_image_count t.Task.domain) ~seed t.Task.domain
   in
@@ -569,7 +571,7 @@ let explain_cmd =
 (* ---------- report ---------- *)
 
 let report id images seed timeout out =
-  let t = Benchmarks.by_id id in
+  let t = task_or_exit id in
   let n = Option.value images ~default:24 in
   let dataset = Dataset.generate ~n_images:n ~seed t.Task.domain in
   let config = { Synthesizer.default_config with timeout_s = timeout } in
@@ -887,6 +889,7 @@ let client socket port op program_file scenes_dir demos_file timeout task images
            { program; domain; seed; frames = stream_frames; window = stream_window })
   | "session" ->
       (* Drive the interactive loop end to end over the wire. *)
+      let task_id = (task_or_exit (need "--task" task)).id in
       let c = Client.connect_retry endpoint in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -902,7 +905,7 @@ let client socket port op program_file scenes_dir demos_file timeout task images
           let opened =
             rpc
               (Protocol.Session_open
-                 { task_id = need "--task" task; images; seed })
+                 { task_id; images; seed })
           in
           let session =
             match Option.bind (Jsonin.member "session" opened) Jsonin.to_int_opt with
@@ -985,7 +988,7 @@ let client_cmd =
    demonstration for [task] — the ground-truth edit on the useful image
    with the fewest objects — over a generated dataset. *)
 let loadgen_payload task_id images demo_images seed =
-  let task = Benchmarks.by_id task_id in
+  let task = task_or_exit task_id in
   let n = Option.value images ~default:8 in
   let dataset = Dataset.generate ~n_images:n ~seed task.Task.domain in
   let u = Batch.universe_of_scenes dataset.Dataset.scenes in
@@ -1265,11 +1268,7 @@ let stream task_id program_path domain frames window seed bootstrap timeout max_
   let report =
     match (task_id, program_path) with
     | Some id, None ->
-        let task =
-          match Benchmarks.by_id id with
-          | t -> t
-          | exception Not_found -> failwith (Printf.sprintf "unknown task id %d" id)
-        in
+        let task = task_or_exit id in
         let corpus =
           Imageeye_corpus.Corpus.make ~domain:task.Task.domain ~seed ~frames
         in

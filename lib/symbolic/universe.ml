@@ -13,6 +13,10 @@ type interned = { bits : Bitset.t; uid : int; bhash : int }
 type t = {
   uid : int;
   entities : Entity.t array;
+  (* The per-image index: distinct raw-image ids, ascending, and for each
+     the ids of its objects, ascending. *)
+  image_ids : int array;
+  image_objects : int list array;
   right_of : int array array;
   left_of : int array array;
   above : int array array;
@@ -28,24 +32,30 @@ type t = {
   mutable intern_next : int;
 }
 
-let sorted_related entities i ~related ~key ~ascending =
-  let o = entities.(i) in
-  let candidates = ref [] in
-  Array.iter
-    (fun (o' : Entity.t) ->
-      if o'.id <> o.Entity.id && o'.image_id = o.image_id && related o' o then
-        candidates := o'.id :: !candidates)
-    entities;
-  let arr = Array.of_list !candidates in
-  let cmp a b =
-    let ka = key entities.(a) and kb = key entities.(b) in
-    let c = compare ka kb in
-    (* Tie-break on id for determinism. *)
-    let c = if c = 0 then compare a b else c in
-    if ascending then c else -c
+(* Position of [img] in the ascending [image_ids], or -1. *)
+let find_image image_ids img =
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Int.compare img image_ids.(mid) in
+      if c = 0 then mid else if c < 0 then search lo mid else search (mid + 1) hi
   in
-  Array.sort cmp arr;
-  arr
+  search 0 (Array.length image_ids)
+
+let index_images (entities : Entity.t array) =
+  let image_ids =
+    Array.of_list
+      (List.sort_uniq Int.compare
+         (Array.fold_left (fun acc (e : Entity.t) -> e.image_id :: acc) [] entities))
+  in
+  let image_objects = Array.make (Array.length image_ids) [] in
+  (* Consed from the highest id down, so each image's ids are ascending. *)
+  for i = Array.length entities - 1 downto 0 do
+    let k = find_image image_ids entities.(i).image_id in
+    image_objects.(k) <- i :: image_objects.(k)
+  done;
+  (image_ids, image_objects)
 
 (* Universe identity for registries that key caches by universe (e.g. the
    synthesizer's per-universe value banks).  Like interned uids, creation
@@ -60,34 +70,68 @@ let of_entities ents =
         invalid_arg
           (Printf.sprintf "Universe.of_entities: entity at position %d has id %d" i e.id))
     entities;
+  let image_ids, image_objects = index_images entities in
   let n = Array.length entities in
-  let build related key ascending =
-    Array.init n (fun i -> sorted_related entities i ~related ~key ~ascending)
+  let right_of = Array.make n [||] and left_of = Array.make n [||] in
+  let above = Array.make n [||] and below = Array.make n [||] in
+  let parents = Array.make n [||] and contents = Array.make n [||] in
+  (* Related ids sorted by a box key, ties broken on id for determinism. *)
+  let sorted key ascending ids =
+    let cmp a b =
+      let c = Int.compare (key entities.(a).Entity.bbox) (key entities.(b).Entity.bbox) in
+      let c = if c = 0 then Int.compare a b else c in
+      if ascending then c else -c
+    in
+    Array.of_list (List.sort cmp ids)
   in
-  let box (e : Entity.t) = e.bbox in
+  (* Spatial relations hold only within one raw image, so each object is
+     tested against the peers of its own image, all six relations in one
+     scan. *)
+  Array.iter
+    (fun peers ->
+      List.iter
+        (fun i ->
+          let o = entities.(i).bbox in
+          let r = ref [] and l = ref [] and a = ref [] and b = ref [] in
+          let p = ref [] and c = ref [] in
+          List.iter
+            (fun j ->
+              if j <> i then begin
+                let o' = entities.(j).bbox in
+                if Bbox.is_right_of o' o then r := j :: !r;
+                if Bbox.is_left_of o' o then l := j :: !l;
+                if Bbox.is_above o' o then a := j :: !a;
+                if Bbox.is_below o' o then b := j :: !b;
+                if Bbox.strictly_contains ~outer:o' ~inner:o then p := j :: !p;
+                if Bbox.strictly_contains ~outer:o ~inner:o' then c := j :: !c
+              end)
+            peers;
+          (* The orderings of Fig. 7: o' is right of o when o'.left >
+             o.right, closest first; parents innermost (smallest area)
+             first. *)
+          right_of.(i) <- sorted (fun b -> b.Bbox.left) true !r;
+          left_of.(i) <- sorted (fun b -> b.Bbox.right) false !l;
+          above.(i) <- sorted (fun b -> b.Bbox.bottom) false !a;
+          below.(i) <- sorted (fun b -> b.Bbox.top) true !b;
+          parents.(i) <- sorted Bbox.area true !p;
+          contents.(i) <- sorted (fun b -> b.Bbox.left) true !c)
+        peers)
+    image_objects;
   {
     uid = Atomic.fetch_and_add next_uid 1;
     entities;
-    (* o' is right of o when o'.left > o.right (Fig. 7), closest first. *)
-    right_of =
-      build (fun o' o -> Bbox.is_right_of (box o') (box o)) (fun e -> e.Entity.bbox.left) true;
-    left_of =
-      build (fun o' o -> Bbox.is_left_of (box o') (box o)) (fun e -> e.Entity.bbox.right) false;
-    above =
-      build (fun o' o -> Bbox.is_above (box o') (box o)) (fun e -> e.Entity.bbox.bottom) false;
-    below =
-      build (fun o' o -> Bbox.is_below (box o') (box o)) (fun e -> e.Entity.bbox.top) true;
-    parents =
-      build
-        (fun o' o -> Bbox.strictly_contains ~outer:(box o') ~inner:(box o))
-        (fun e -> Bbox.area e.Entity.bbox)
-        true;
-    contents =
-      build
-        (fun o' o -> Bbox.strictly_contains ~outer:(box o) ~inner:(box o'))
-        (fun e -> e.Entity.bbox.left)
-        true;
-    intern_tbl = BitsetTbl.create 4096;
+    image_ids;
+    image_objects;
+    right_of;
+    left_of;
+    above;
+    below;
+    parents;
+    contents;
+    (* Hashtbl's minimum size: the table doubles as sets are interned, so
+       a one-frame universe stays off the major heap and a search-sized
+       one grows to what its interned sets need. *)
+    intern_tbl = BitsetTbl.create 16;
     intern_mutex = Mutex.create ();
     intern_next = 0;
   }
@@ -120,15 +164,10 @@ let uid t = t.uid
 let size t = Array.length t.entities
 let entity t i = t.entities.(i)
 let entities t = Array.to_list t.entities
-
-let image_ids t =
-  let module IS = Set.Make (Int) in
-  IS.elements
-    (Array.fold_left (fun s (e : Entity.t) -> IS.add e.image_id s) IS.empty t.entities)
+let image_ids t = Array.to_list t.image_ids
 
 let objects_of_image t img =
-  Array.to_list t.entities
-  |> List.filter_map (fun (e : Entity.t) -> if e.image_id = img then Some e.id else None)
+  match find_image t.image_ids img with -1 -> [] | k -> t.image_objects.(k)
 
 let right_of t i = t.right_of.(i)
 let left_of t i = t.left_of.(i)

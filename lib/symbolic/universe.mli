@@ -13,7 +13,13 @@
     - [below u i]: objects below [i], ascending by top edge;
     - [parents u i]: objects whose box strictly contains [i]'s, innermost
       (smallest area) first;
-    - [contents u i]: objects strictly inside [i]'s box. *)
+    - [contents u i]: objects strictly inside [i]'s box.
+
+    Construction costs what the universe holds: entities are grouped by
+    raw image once, each relation scans only same-image peers (O(sum of
+    k²) for images of k objects, not O(N²) over the batch), and the
+    hash-consing table starts at [Hashtbl]'s minimum and grows with the
+    sets interned, so a one-frame universe stays off the major heap. *)
 
 type t
 
@@ -45,7 +51,9 @@ val image_ids : t -> int list
 (** Distinct raw-image ids, ascending. *)
 
 val objects_of_image : t -> int -> int list
-(** Ids of all objects detected in one raw image. *)
+(** Ids of all objects detected in one raw image, ascending ([\[\]] for an
+    image the universe does not hold).  Answered from the per-image index
+    in O(log images). *)
 
 val intern : t -> Imageeye_util.Bitset.t -> interned
 (** The canonical cell for a bitset over this universe, creating it on

@@ -131,6 +131,96 @@ let test_universe_cross_image_isolation () =
   Alcotest.(check (list int)) "not across images" []
     (Array.to_list (Universe.left_of u 2))
 
+(* ---------- Universe: per-image index against an all-pairs oracle ---------- *)
+
+module Bbox = Imageeye_geometry.Bbox
+module Bitset = Imageeye_util.Bitset
+
+(* The all-pairs reference: scan every object, keep the others of the same
+   raw image that satisfy the relation, and sort by key with ties broken
+   on id (the orderings of Fig. 7). *)
+let reference_related u i ~related ~key ~ascending =
+  let o = Universe.entity u i in
+  Universe.entities u
+  |> List.filter (fun (o' : Entity.t) ->
+         o'.id <> i && o'.image_id = o.Entity.image_id && related o'.bbox o.bbox)
+  |> List.sort (fun (a : Entity.t) (b : Entity.t) ->
+         let c = compare (key a.bbox) (key b.bbox) in
+         let c = if c = 0 then compare a.id b.id else c in
+         if ascending then c else -c)
+  |> List.map (fun (e : Entity.t) -> e.id)
+
+(* Each indexed relation with its definition, sort key and direction. *)
+let relations =
+  [
+    (Universe.right_of, Bbox.is_right_of, (fun (b : Bbox.t) -> b.left), true);
+    (Universe.left_of, Bbox.is_left_of, (fun (b : Bbox.t) -> b.right), false);
+    (Universe.above, Bbox.is_above, (fun (b : Bbox.t) -> b.bottom), false);
+    (Universe.below, Bbox.is_below, (fun (b : Bbox.t) -> b.top), true);
+    (Universe.parents, (fun o' o -> Bbox.strictly_contains ~outer:o' ~inner:o), Bbox.area, true);
+    ( Universe.contents,
+      (fun o' o -> Bbox.strictly_contains ~outer:o ~inner:o'),
+      (fun (b : Bbox.t) -> b.left),
+      true );
+  ]
+
+(* Objects scattered over a few raw images with non-contiguous ids, drawn
+   independently so that entity ids interleave images; small coordinates
+   make equal keys, equal boxes and nesting common. *)
+let gen_specs =
+  QCheck2.Gen.(
+    list_size (int_bound 24)
+      (quad (oneofl [ -2; 0; 3; 7; 1000 ]) (int_bound 20) (int_bound 20)
+         (pair (int_range 1 12) (int_range 1 12))))
+
+let print_specs =
+  QCheck2.Print.(list (quad int int int (pair int int)))
+
+let agrees_with_reference specs =
+  let u = universe (List.map (fun (img, x, y, (w, h)) -> (img, thing "cat", box x y w h)) specs) in
+  let relations_agree =
+    List.for_all
+      (fun (indexed, related, key, ascending) ->
+        List.for_all
+          (fun i ->
+            Array.to_list (indexed u i) = reference_related u i ~related ~key ~ascending)
+          (List.init (Universe.size u) Fun.id))
+      relations
+  in
+  let images = List.sort_uniq compare (List.map (fun (img, _, _, _) -> img) specs) in
+  let members img =
+    List.filter_map
+      (fun (e : Entity.t) -> if e.image_id = img then Some e.id else None)
+      (Universe.entities u)
+  in
+  relations_agree
+  && Universe.image_ids u = images
+  && List.for_all (fun img -> Universe.objects_of_image u img = members img) (5 :: images)
+
+let universe_qcheck_props =
+  [
+    QCheck2.Test.make ~name:"per-image index oracle" ~count:500
+      ~print:print_specs gen_specs agrees_with_reference;
+  ]
+
+(* The intern table starts small and grows: past 10k distinct sets every
+   re-intern must still find the very same cell, and uids stay the dense
+   interning order. *)
+let test_intern_growth () =
+  let n = 14 in
+  let u = universe (List.init n (fun i -> (0, thing "cat", box (i * 10) 0 5 5))) in
+  let k = 10_000 in
+  let set_of m = Bitset.of_list n (List.filter (fun b -> m land (1 lsl b) <> 0) (List.init n Fun.id)) in
+  let cells = Array.init k (fun m -> Universe.intern u (set_of m)) in
+  Alcotest.(check int) "interned count" k (Universe.interned_count u);
+  Array.iteri
+    (fun m (c : Universe.interned) ->
+      if c.uid <> m then Alcotest.failf "set %d has uid %d" m c.uid;
+      if not (Bitset.equal c.bits (set_of m)) then Alcotest.failf "set %d: wrong bits" m;
+      if Universe.intern u (set_of m) != c then Alcotest.failf "set %d re-interned to a new cell" m)
+    cells;
+  Alcotest.(check int) "count unchanged by re-interning" k (Universe.interned_count u)
+
 (* ---------- Simage ---------- *)
 
 let test_simage_basics () =
@@ -227,7 +317,9 @@ let () =
           Alcotest.test_case "parents/contents" `Quick test_universe_parents_contents;
           Alcotest.test_case "nested parents order" `Quick test_universe_nested_parents_order;
           Alcotest.test_case "cross-image isolation" `Quick test_universe_cross_image_isolation;
+          Alcotest.test_case "intern table growth" `Quick test_intern_growth;
         ] );
+      ("universe-qcheck", List.map QCheck_alcotest.to_alcotest universe_qcheck_props);
       ( "simage",
         [
           Alcotest.test_case "basics" `Quick test_simage_basics;

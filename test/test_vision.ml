@@ -148,6 +148,27 @@ let test_batch_universe_noisy_deterministic () =
   Alcotest.(check bool) "same entities" true
     (Universe.entities a = Universe.entities b)
 
+(* Building a one-frame universe must stay off the major heap: a
+   fixed-size intern table (4,096 buckets, 4,097 words) allocated there
+   would be paid again by every frame of a stream.  The minor heap is
+   emptied first so that no minor collection promotes words inside the
+   measured window. *)
+let test_batch_universe_no_major_alloc () =
+  let scene =
+    Scene.make ~image_id:0 ~width:100 ~height:100
+      [
+        { Scene.kind = Scene.Thing_item "cat"; bbox = Test_support.box 10 10 20 20 };
+        { Scene.kind = Scene.Thing_item "dog"; bbox = Test_support.box 50 10 20 20 };
+      ]
+  in
+  ignore (Batch.universe_of_scenes [ scene ]);
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let u = Batch.universe_of_scenes [ scene ] in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check int) "two objects" 2 (Universe.size u);
+  Alcotest.(check (float 0.)) "major-heap words" 0. (major1 -. major0)
+
 let () =
   Alcotest.run "vision"
     [
@@ -167,5 +188,6 @@ let () =
         [
           Alcotest.test_case "universe construction" `Quick test_batch_universe;
           Alcotest.test_case "noisy determinism" `Quick test_batch_universe_noisy_deterministic;
+          Alcotest.test_case "no major alloc per frame" `Quick test_batch_universe_no_major_alloc;
         ] );
     ]
