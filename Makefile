@@ -51,18 +51,17 @@ optimal-smoke: build
 	./_build/default/bin/imageeye.exe sweep --tasks 1,17,30 --images 8 \
 	  --timeout 30 --jobs $(JOBS) --optimal --min-solved 3 --max-mean-size 5.0
 
-# Daemon lifecycle end to end: serve on a temp socket, loadgen with a
-# warm-bank assertion, a deadline probe, a wire-driven session,
-# adversarial probes (nesting bomb, oversized line), then a graceful
-# SIGTERM drain that must exit 0.
+# Daemon lifecycle end to end: serve on a temp socket, a loadgen run, a
+# deadline probe, a wire-driven session, adversarial probes (nesting
+# bomb, oversized line), then a graceful SIGTERM drain that must exit 0.
 serve-smoke: build
 	bash scripts/serve_smoke.sh
 
 # The sharded tier end to end: two daemons with persistent state dirs
-# behind a consistent-hash router, mixed-op loadgen with warm-bank and
-# percentile assertions, a worker SIGKILLed mid-run (degrade, don't
-# fail), a state-dir-locked duplicate-daemon probe, graceful drains,
-# and a warm restart from the drain snapshot.
+# behind a consistent-hash router, mixed-op loadgen with percentile
+# assertions, a worker SIGKILLed mid-run (degrade, don't fail), a
+# state-dir-locked duplicate-daemon probe, graceful drains, and a warm
+# restart from the drain snapshot.
 router-smoke: build
 	bash scripts/router_smoke.sh
 

@@ -26,8 +26,6 @@
                                 per-task log lines may interleave, and a
                                 binding wall-clock timeout can cut
                                 differently under core contention)
-     IMAGEEYE_VALUE_BANK=0      disable the extractor value bank in every
-                                non-ablation config (before/after runs)
      IMAGEEYE_FWD_BWD=0         disable bidirectional abstract
                                 interpretation in every non-ablation
                                 config (the BENCH_PR6.json baseline)
@@ -44,8 +42,6 @@
                                 baseline)
      IMAGEEYE_ABLATION=<name>   restrict fig16 to one named ablation row
                                 (unknown names list the table, exit 2)
-     IMAGEEYE_ABSINT_ITERS=<n>  forward-backward fixpoint iteration cap
-                                (default 8)
      IMAGEEYE_JSON_BASELINE=<p> embed the JSON document at <p> (a previous
                                 --json output) verbatim as a "baseline"
                                 field of the emitted trajectory
@@ -110,19 +106,16 @@ let jobs = env_int "IMAGEEYE_JOBS" 1
 let timeout = env_float "IMAGEEYE_TIMEOUT" (if quick then 20.0 else 120.0)
 let eus_timeout = env_float "IMAGEEYE_EUS_TIMEOUT" (if quick then 10.0 else 30.0)
 let abl_timeout = env_float "IMAGEEYE_ABL_TIMEOUT" (if quick then 5.0 else 10.0)
-let value_bank = env_bool "IMAGEEYE_VALUE_BANK" true
 let fwd_bwd = env_bool "IMAGEEYE_FWD_BWD" true
 let per_image = env_bool "IMAGEEYE_PER_IMAGE" true
 let cardinality = env_bool "IMAGEEYE_CARDINALITY" true
 let optimal = env_bool "IMAGEEYE_OPTIMAL" false
 
 (* Every non-ablation section starts from this, so a single env knob gives
-   the before/after pair for the committed BENCH_PR3.json / BENCH_PR6.json /
-   BENCH_PR8.json. *)
+   the before/after pair for the committed BENCH_PR6.json / BENCH_PR8.json. *)
 let base_config =
   {
     Synthesizer.default_config with
-    value_bank;
     fwd_bwd;
     absint_per_image = per_image;
     absint_cardinality = cardinality;
@@ -271,20 +264,15 @@ let cache_summary counts =
       (100.0 *. float_of_int (memo + vhit) /. float_of_int visited)
   end
 
-(* Same for the value-bank counters and the complete candidates decided
-   directly from their folded constant: outcomes, not rejections. *)
-let bank_summary counts =
-  let get label = Option.value ~default:0 (List.assoc_opt label counts) in
-  let hit = get "value-bank(hit)" in
-  let miss = get "value-bank(miss)" in
-  let built = get "value-bank(built)" in
-  let const = get "partial-eval(const-solved)" in
-  if hit + miss + built + const > 0 then begin
-    say "";
-    say "value bank: %d hole closures, %d exact-window misses, %d values built;"
-      hit miss built;
-    say "  %d complete candidates decided from their folded constant" const
-  end
+(* Same for the complete candidates decided directly from their folded
+   constant: an outcome, not a rejection. *)
+let const_summary counts =
+  match List.assoc_opt "partial-eval(const-solved)" counts with
+  | Some const when const > 0 ->
+      say "";
+      say "partial evaluation: %d complete candidates decided from their folded constant"
+        const
+  | _ -> ()
 
 (* The forward-backward analysis likewise reports its volume of work
    (rounds run, hole goals tightened) next to its kill count. *)
@@ -307,7 +295,7 @@ let prune_table results =
         List.partition (fun (l, _) -> Imageeye_core.Prune.is_info_label l) all_counts
       in
       cache_summary info_counts;
-      bank_summary info_counts;
+      const_summary info_counts;
       absint_summary (info_counts @ counts);
       let total = List.fold_left (fun a (_, n) -> a + n) 0 counts in
       say "";
@@ -428,8 +416,7 @@ let fig15 () =
    (bidirectional abstract interpretation; solution-preserving, so the
    solved set must match [full] and the separation is in nodes),
    no-eval-cache (the memoized incremental evaluator; semantics-
-   preserving), no-value-bank (bottom-up extractor bank; exact lookups
-   are solution-preserving), and no-per-image / no-cardinality (the two
+   preserving), and no-per-image / no-cardinality (the two
    product-domain refinements of the fwd-bwd analysis; both
    solution-preserving).
 
@@ -784,7 +771,6 @@ let json_meta () =
     ("seed", Int seed);
     ("jobs", Int jobs);
     ("timeout_s", Float timeout);
-    ("value_bank", Bool value_bank);
     ("fwd_bwd", Bool fwd_bwd);
     ("per_image", Bool per_image);
     ("cardinality", Bool cardinality);
@@ -855,9 +841,9 @@ let git_commit () =
 (* Per-task regression thresholds: a task solved in both rows has a
    deterministic node count (the search that found its program is
    budget-bounded, not wall-clock-bounded), so any growth is a real
-   change.  The gate allows 5% plus a small absolute slack — tiny tasks
-   jitter by a handful of nodes when shared-bank warm-up order shifts —
-   and fails loudly listing every offending task.  Unsolved tasks are
+   change.  The gate allows 5% plus a small absolute slack, so a tiny
+   task is not flagged over a handful of nodes, and fails loudly listing
+   every offending task.  Unsolved tasks are
    timeout-shaped and excluded; the old global >5% gate still covers
    history rows predating the per-task format. *)
 let task_threshold = 1.05
@@ -1050,10 +1036,9 @@ let () =
                 None)
           names
   in
-  say "ImageEye experiment harness (%s mode, seed %d, timeout %.0fs%s%s)"
+  say "ImageEye experiment harness (%s mode, seed %d, timeout %.0fs%s)"
     (if quick then "quick" else "full")
     seed timeout
-    (if value_bank then "" else ", value bank OFF")
     (if fwd_bwd then "" else ", fwd-bwd OFF");
   List.iter (fun (_, f) -> f ()) chosen;
   Option.iter write_json json_path;

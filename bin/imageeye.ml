@@ -185,7 +185,7 @@ let learn_cmd =
 
 (* ---------- sweep ---------- *)
 
-let sweep task_ids images seed timeout jobs value_bank fwd_bwd optimal frontier
+let sweep task_ids images seed timeout jobs fwd_bwd optimal frontier
     ablation json_path min_solved max_mean_size =
   let ablation_tweak =
     match ablation with
@@ -220,7 +220,6 @@ let sweep task_ids images seed timeout jobs value_bank fwd_bwd optimal frontier
       {
         Synthesizer.default_config with
         timeout_s = timeout;
-        value_bank;
         fwd_bwd;
         optimality = optimal;
         optimal_frontier =
@@ -316,7 +315,6 @@ let sweep task_ids images seed timeout jobs value_bank fwd_bwd optimal frontier
             ("seed", Int seed);
             ("jobs", Int jobs);
             ("timeout_s", Float timeout);
-            ("value_bank", Bool value_bank);
             ("fwd_bwd", Bool fwd_bwd);
             ("optimal", Bool config.Synthesizer.optimality);
             ("ablation", match ablation with Some a -> Str a | None -> Str "none");
@@ -359,12 +357,6 @@ let sweep_cmd =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains to run tasks on in parallel (1 = sequential; size to the              available cores).")
   in
-  let value_bank =
-    Term.(
-      const not
-      $ Arg.(value & flag & info [ "no-value-bank" ]
-               ~doc:"Disable the bottom-up extractor value bank (pure top-down search)."))
-  in
   let fwd_bwd =
     Term.(
       const not
@@ -381,7 +373,7 @@ let sweep_cmd =
   in
   let ablation =
     Arg.(value & opt (some string) None & info [ "ablation" ] ~docv:"NAME"
-           ~doc:"Apply a named ablation row from the shared fig16 table (full,              no-goal-inference, no-partial-eval, no-equiv-reduction, no-fwd-bwd,              no-per-image, no-cardinality, no-eval-cache, no-value-bank,              optimal) on top of the other flags.  Unknown names list the table              and exit 2.")
+           ~doc:"Apply a named ablation row from the shared fig16 table (full,              no-goal-inference, no-partial-eval, no-equiv-reduction, no-fwd-bwd,              no-per-image, no-cardinality, no-eval-cache, optimal)              on top of the other flags.  Unknown names list the table              and exit 2.")
   in
   let json_path =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
@@ -398,7 +390,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Run the demonstration loop over many benchmark tasks and summarize, optionally              on a parallel Domain pool.")
-    Term.(const sweep $ task_ids $ images $ seed_arg $ timeout $ jobs $ value_bank $ fwd_bwd $ optimal $ frontier $ ablation $ json_path $ min_solved $ max_mean_size)
+    Term.(const sweep $ task_ids $ images $ seed_arg $ timeout $ jobs $ fwd_bwd $ optimal $ frontier $ ablation $ json_path $ min_solved $ max_mean_size)
 
 (* ---------- apply ---------- *)
 
@@ -730,7 +722,7 @@ let serve_cmd =
          & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
              ~env:(Cmd.Env.info "IMAGEEYE_STATE_DIR")
-             ~doc:"Durable warm state: restore value banks from DIR on boot (a corrupt              snapshot is loudly rejected and the daemon starts cold) and snapshot              them periodically and on SIGTERM.  The directory is exclusively locked;              a second daemon fails with state-dir-locked.")
+             ~doc:"Durable warm state: re-intern demonstration universes from DIR on boot (a corrupt              snapshot is loudly rejected and the daemon starts cold) and snapshot              them periodically and on SIGTERM.  The directory is exclusively locked;              a second daemon fails with state-dir-locked.")
   in
   let snapshot_interval =
     Arg.(value
@@ -740,7 +732,7 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the persistent synthesis daemon: newline-delimited JSON requests over a              unix-domain or TCP socket, synthesis on a worker Domain pool with warm              cross-request value banks.  --state-dir makes the warmth survive restarts.              SIGTERM drains gracefully, snapshots state and dumps metrics.")
+       ~doc:"Run the persistent synthesis daemon: newline-delimited JSON requests over a              unix-domain or TCP socket, synthesis on a worker Domain pool with interned              cross-request universes.  --state-dir makes the warmth survive restarts.              SIGTERM drains gracefully, snapshots state and dumps metrics.")
     Term.(const serve $ socket_arg $ port_arg $ jobs $ timeout $ max_rounds $ quiet
           $ max_line_bytes $ read_timeout $ max_conns $ state_dir $ snapshot_interval)
 
@@ -817,7 +809,7 @@ let router_cmd =
   in
   Cmd.v
     (Cmd.info "router"
-       ~doc:"Shard requests across several imageeye daemons by consistent-hashing the              scene batch (the unit of value-bank warmth), with session-id rewriting,              aggregated metrics fan-in, and re-hash-to-survivors on worker loss.")
+       ~doc:"Shard requests across several imageeye daemons by consistent-hashing the              scene batch (the unit of universe sharing), with session-id rewriting,              aggregated metrics fan-in, and re-hash-to-survivors on worker loss.")
     Term.(const router $ socket $ port_arg $ workers $ quiet $ max_line_bytes $ read_timeout
           $ max_conns $ inflight $ retry_dead)
 
@@ -1028,26 +1020,10 @@ let loadgen_payload task_id images demo_images seed =
 let response_outcome r =
   Option.value ~default:"?" (Option.bind (Jsonin.member "outcome" r) Jsonin.to_string_opt)
 
-let response_stat r key =
-  Option.bind (Jsonin.member "stats" r) (fun st ->
-      Option.bind (Jsonin.member key st) Jsonin.to_int_opt)
-
-let response_prune_count r label =
-  Option.bind (Jsonin.member "stats" r) (fun st ->
-      Option.bind (Jsonin.member "prune_counts" st) (fun pc ->
-          Option.bind (Jsonin.member label pc) Jsonin.to_int_opt))
-
-type loadgen_sample = {
-  index : int;
-  op : string;
-  latency_s : float;
-  outcome : string;
-  nodes : int option;
-  bank_hits : int option;
-}
+type loadgen_sample = { op : string; latency_s : float; outcome : string }
 
 let loadgen socket port endpoints concurrency requests task images demo_images seed timeout
-    expect_warm ops_spec =
+    ops_spec =
   if requests < 1 then failwith "need --requests >= 1";
   if concurrency < 1 then failwith "need --concurrency >= 1";
   if demo_images < 1 then failwith "need --demo-images >= 1";
@@ -1127,16 +1103,7 @@ let loadgen socket port endpoints concurrency requests task images demo_images s
                     else if op = "apply" then "success"  (* apply has no outcome field *)
                     else response_outcome r
                   in
-                  samples.(i) <-
-                    Some
-                      {
-                        index = i;
-                        op;
-                        latency_s = Clock.elapsed_s t0;
-                        outcome;
-                        nodes = response_stat r "nodes";
-                        bank_hits = response_prune_count r "value-bank(hit)";
-                      });
+                  samples.(i) <- Some { op; latency_s = Clock.elapsed_s t0; outcome });
               loop ()
         in
         loop ())
@@ -1180,33 +1147,6 @@ let loadgen socket port endpoints concurrency requests task images demo_images s
       end)
     ops;
   List.iter (fun m -> Printf.eprintf "  transport error: %s\n" m) !errors;
-  let synth_ordered =
-    List.sort (fun a b -> compare a.index b.index)
-      (List.filter (fun s -> s.op = "synthesize") done_)
-  in
-  (match (synth_ordered, List.rev synth_ordered) with
-  | first :: _, last :: _ when first.index <> last.index ->
-      let show = function Some n -> string_of_int n | None -> "?" in
-      Printf.printf
-        "  cold request: %d nodes; warm request: %d nodes (value-bank hits %s)\n"
-        (Option.value first.nodes ~default:0)
-        (Option.value last.nodes ~default:0)
-        (show last.bank_hits);
-      if expect_warm then begin
-        (match (first.nodes, last.nodes) with
-        | Some cold, Some warm when warm < cold ->
-            Printf.printf "  warm check OK: %d < %d nodes\n" warm cold
-        | cold, warm ->
-            Printf.eprintf "  warm check FAILED: cold=%s warm=%s\n"
-              (show cold) (show warm);
-            exit 1);
-        match last.bank_hits with
-        | Some hits when hits > 0 -> Printf.printf "  warm bank hits OK: %d\n" hits
-        | hits ->
-            Printf.eprintf "  warm check FAILED: no value-bank hits (%s)\n" (show hits);
-            exit 1
-      end
-  | _ -> ());
   if !errors <> [] || failures <> [] || List.length done_ <> requests then exit 1
 
 (* ---------- stream ---------- *)
@@ -1379,7 +1319,7 @@ let stream_cmd =
                         ~doc:"Exit 1 when the peak interned-universe count exceeds N.") in
   Cmd.v
     (Cmd.info "stream"
-       ~doc:"Stream a program across a generated mega-corpus with O(window) memory,             repairing it mid-stream from warm banks when a counterexample appears.")
+       ~doc:"Stream a program across a generated mega-corpus with O(window) memory,             repairing it mid-stream by resuming its demonstrations when a counterexample             appears.")
     Term.(const stream $ task $ program $ domain $ frames $ window $ seed_arg $ bootstrap
           $ timeout $ max_repairs $ no_cold $ budget $ json_path $ expect_repair
           $ expect_warm $ max_live)
@@ -1409,10 +1349,6 @@ let loadgen_cmd =
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
            ~doc:"Per-request deadline sent with each request.")
   in
-  let expect_warm =
-    Arg.(value & flag & info [ "expect-warm" ]
-           ~doc:"Fail unless the last synthesize request is cheaper than the first (fewer              stats.nodes) and reports warm value-bank hits.")
-  in
   let endpoints =
     Arg.(value & opt_all string [] & info [ "e"; "endpoint" ] ~docv:"SPEC"
            ~doc:"Target endpoint (repeatable): unix:PATH, tcp:[HOST:]PORT, or a bare              socket path.  Client threads round-robin across the given endpoints              (drive several daemons, or a router, at once).  Overrides              --socket/--port.")
@@ -1423,9 +1359,9 @@ let loadgen_cmd =
   in
   Cmd.v
     (Cmd.info "loadgen"
-       ~doc:"Closed-loop load generator: replay one task's requests against running              daemons (or a router) and report throughput, p50/p95/p99 latency per op              and warm-bank speedup.")
+       ~doc:"Closed-loop load generator: replay one task's requests against running              daemons (or a router) and report throughput and p50/p95/p99 latency per op.")
     Term.(const loadgen $ socket_arg $ port_arg $ endpoints $ concurrency $ requests $ task
-          $ images $ demo_images $ seed_arg $ timeout $ expect_warm $ ops)
+          $ images $ demo_images $ seed_arg $ timeout $ ops)
 
 let () =
   let info =

@@ -11,17 +11,6 @@ let feasible (g : Goal.t) = Simage.subset g.Goal.under g.Goal.over
 
 let default_max_iterations = 8
 
-let max_iterations_from_env () =
-  match Sys.getenv_opt "IMAGEEYE_ABSINT_ITERS" with
-  | None -> default_max_iterations
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          Printf.eprintf
-            "error: IMAGEEYE_ABSINT_ITERS must be a positive integer, got %S\n%!" v;
-          exit 2)
-
 (* Demo universes hold at most a handful of images (a session demonstrates
    on at most [max_rounds] of them), so per-image planes are cheap there.
    Past this many images the per-plane bookkeeping would dominate; fall

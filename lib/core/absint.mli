@@ -58,11 +58,6 @@ val feasible : Goal.t -> bool
 
 val default_max_iterations : int
 
-val max_iterations_from_env : unit -> int
-(** [default_max_iterations], overridable via the [IMAGEEYE_ABSINT_ITERS]
-    environment variable.  Exits loudly (status 2) on a malformed or
-    non-positive value rather than silently running with the default. *)
-
 val max_planes : int
 (** Above this many images the analysis stops tracking one plane per
     image (per-image bookkeeping would dominate).  With [demo_images] it

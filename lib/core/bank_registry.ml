@@ -1,84 +1,10 @@
-module Simage = Imageeye_symbolic.Simage
 module Universe = Imageeye_symbolic.Universe
 
-module EBank = Imageeye_engine.Bank.Make (struct
-  type t = Simage.t
-
-  let equal = Simage.equal
-  let hash = Simage.hash
-end)
-
-module VTbl = Hashtbl.Make (struct
-  type t = Simage.t
-
-  let equal = Simage.equal
-  let hash = Simage.hash
-end)
-
-(* Bank sizing.  [max_tier] bounds how deep the bottom-up enumeration may
-   go (beyond it the top-down grammar is the only path, as in the
-   baseline); the two caps bound one tier's stored footprint and
-   enumeration work so a value-dense universe (Receipts text) degrades
-   into lookup misses instead of an enumeration blow-up.  All three only
-   trade hit rate for build cost — never soundness or completeness.
-
-   The depth is deliberately shallow: bottom-up enumeration cost is
-   combinatorial in term size (the paper's Fig. 15 shows exactly this
-   collapse for EUSolver beyond size ~9), while measured bank hits
-   concentrate on small shared subterms — deep tiers on this benchmark
-   cost hundreds of thousands of evaluations per universe and almost
-   never hit. *)
-let max_tier = 5
-let tier_cap = 2048
-let offer_cap = 12_000
-
-(* An offer's cost scales with the universe: Find/Filter walk every
-   entity.  Budget per-entity work rather than offers, so the small
-   demonstration universes the interaction loop actually searches get the
-   full enumeration while huge full-batch universes (hundreds of images)
-   get shallow banks that saturate immediately and defer to the grammar —
-   exactly the pre-bank behavior, at negligible build cost. *)
-let offer_cap_for u =
-  let entities = Simage.cardinal (Simage.full u) in
-  max 1_000 (min offer_cap (1_500_000 / max 1 entities))
-
-let bank_max_delta = max_tier - 1
-(* A banked term of size k fills a hole (itself size 1) at size increment
-   k - 1, so the scheduler must visit tiers up to this delta for the bank
-   to be able to emit its deepest terms. *)
-
-type bank_state = {
-  ebank : Lang.extractor EBank.t;
-  (* Emitted subtrees, one per (value, collapse mode): sharing the
-     Partial.t across emissions lets its memo slot pay off across every
-     candidate (and search) containing it.  The memoized form depends on
-     whether constant collapsing is on, hence two tables. *)
-  partials_collapse : Partial.t VTbl.t;
-  partials_plain : Partial.t VTbl.t;
-  (* How many searches have acquired this bank.  Tier building is an
-     investment that only pays off when the same universe is searched
-     again (shared first-round universes, multi-action specs, repeated
-     synthesis); a later-round universe in the interaction loop is unique
-     to its task and never recurs.  So the first search over a universe
-     is lookup-only — [close_hole] consults whatever tiers exist but
-     never triggers building — and auto-build starts with the second. *)
-  mutable visits : int;
-}
-
-type ucache = {
-  u : Universe.t;
-  mutable vocabs : (int list * Vocab.t) list;
-  mutable banks : ((int list * int) * bank_state) list;
-}
-
-type handle = { hu : Universe.t; state : bank_state }
-
 (* One process-wide registry guarded by one mutex: universes are shared
-   across tasks (and Domains), so banks and vocabularies built for one
-   search are reused read-mostly by every later search over the same
-   universe.  Entries are keyed by Universe.uid and retained for the
-   process lifetime — universes in a sweep are few and long-lived. *)
-let registry : (int, ucache) Hashtbl.t = Hashtbl.create 64
+   across tasks (and Domains), so a vocabulary built for one search is
+   reused read-only by every later search over the same universe.
+   Entries are keyed by Universe.uid. *)
+let registry : (int, (int list * Vocab.t) list) Hashtbl.t = Hashtbl.create 64
 let registry_mutex = Mutex.create ()
 
 let with_lock f =
@@ -87,271 +13,19 @@ let with_lock f =
 
 let clear () = with_lock (fun () -> Hashtbl.reset registry)
 
-(* Streaming eviction: the O(window) universe cache drops universes
-   behind its cursor, and with them their banks and vocabularies — the
-   registry entry is what would otherwise pin a dead universe (and its
-   entity/relation arrays) for the process lifetime.  Evicting a universe
-   that was never registered is a no-op; a handle obtained before the
-   eviction stays usable (it holds the bank state directly), the state is
-   simply no longer findable for new searches. *)
+(* Streaming eviction: the registry entry is what would otherwise pin a
+   dead universe's vocabulary for the process lifetime. *)
 let evict u = with_lock (fun () -> Hashtbl.remove registry (Universe.uid u))
 
 let registered () = with_lock (fun () -> Hashtbl.length registry)
 
-let ucache_of u =
-  let key = Universe.uid u in
-  match Hashtbl.find_opt registry key with
-  | Some c -> c
-  | None ->
-      let c = { u; vocabs = []; banks = [] } in
-      Hashtbl.add registry key c;
-      c
-
-let vocab_of c ~age_thresholds =
-  match List.assoc_opt age_thresholds c.vocabs with
-  | Some v -> v
-  | None ->
-      let v = Vocab.of_universe ~age_thresholds c.u in
-      c.vocabs <- (age_thresholds, v) :: c.vocabs;
-      v
-
 let vocab u ~age_thresholds =
-  with_lock (fun () -> vocab_of (ucache_of u) ~age_thresholds)
-
-(* Bottom-up enumeration of all extractors of exactly [size], composing
-   values from the bank's lower tiers (the EUSolver baseline's
-   [enumerate_size], reading subterms back from the shared bank).  The
-   within-tier order mirrors the top-down engine's instantiation order
-   (leaves, complement, unions, intersects, finds, filters) so the
-   representative the bank keeps for a value tends to be the same program
-   the grammar search would have found first.  Every offered term ticks
-   the node counter: bank building is evaluation work and must show up in
-   the same ledger the benchmarks report. *)
-let grow u vocab max_operands extension ebank ~size ~offer =
-  let preds = Vocab.predicates vocab in
-  let funcs = Vocab.functions vocab in
-  let offer term value =
-    Eval.tick_node_evaluated ();
-    offer term value
-  in
-  if size = 1 then offer Lang.All (Simage.full u);
-  List.iter
-    (fun p -> if 1 + Pred.size p = size then offer (Lang.Is p) (extension p))
-    preds;
-  if size >= 2 then
-    Array.iter
-      (fun (e, v) -> offer (Lang.Complement e) (Simage.complement v))
-      (EBank.entries ebank (size - 1));
-  let rec splits k total =
-    if k = 1 then if total >= 1 then [ [ total ] ] else []
-    else
-      List.concat_map
-        (fun first -> List.map (fun rest -> first :: rest) (splits (k - 1) (total - first)))
-        (List.init (max 0 (total - (k - 1))) (fun i -> i + 1))
-  in
-  for arity = 2 to max_operands do
-    List.iter
-      (fun split ->
-        let rec combine es vs = function
-          | [] ->
-              let es = List.rev es and vs = List.rev vs in
-              offer (Lang.Union es) (Simage.union_all u vs);
-              offer (Lang.Intersect es) (Simage.inter_all u vs)
-          | s :: rest ->
-              Array.iter (fun (e, v) -> combine (e :: es) (v :: vs) rest)
-                (EBank.entries ebank s)
-        in
-        combine [] [] split)
-      (splits arity (size - 1))
-  done;
-  List.iter
-    (fun p ->
-      let sub = size - 2 - Pred.size p in
-      if sub >= 1 then
-        Array.iter
-          (fun (e, v) ->
-            List.iter (fun f -> offer (Lang.Find (e, p, f)) (Eval.find_from u v p f)) funcs)
-          (EBank.entries ebank sub))
-    preds;
-  List.iter
-    (fun p ->
-      let sub = size - 1 - Pred.size p in
-      if sub >= 1 then
-        Array.iter
-          (fun (e, v) -> offer (Lang.Filter (e, p)) (Eval.filter_from u v p))
-          (EBank.entries ebank sub))
-    preds
-
-(* Create-or-find one (age_thresholds, max_operands) bank state of a
-   ucache; callers hold the registry lock.  [visits0] seeds the
-   recurrence gate for freshly created states (searches start at 1; the
-   snapshot-restore path passes the persisted count). *)
-let state_of c ~age_thresholds ~max_operands ~visits0 =
-  let key = (age_thresholds, max_operands) in
-  match List.assoc_opt key c.banks with
-  | Some state -> state
-  | None ->
-      let u = c.u in
-      let vocab = vocab_of c ~age_thresholds in
-      let ext_tbl = Hashtbl.create 64 in
-      let extension p =
-        match Hashtbl.find_opt ext_tbl p with
-        | Some v -> v
-        | None ->
-            let v = Simage.filter (fun e -> Pred.entails e p) (Simage.full u) in
-            Hashtbl.add ext_tbl p v;
-            v
-      in
-      let ebank =
-        EBank.create ~tier_cap ~offer_cap:(offer_cap_for u) ~max_tier
-          ~grow:(grow u vocab max_operands extension)
-          ()
-      in
-      let state =
-        {
-          ebank;
-          partials_collapse = VTbl.create 256;
-          partials_plain = VTbl.create 256;
-          visits = visits0;
-        }
-      in
-      c.banks <- (key, state) :: c.banks;
-      state
-
-let handle u ~age_thresholds ~max_operands =
   with_lock (fun () ->
-      let c = ucache_of u in
-      let key = (age_thresholds, max_operands) in
-      match List.assoc_opt key c.banks with
-      | Some state ->
-          state.visits <- state.visits + 1;
-          { hu = u; state }
+      let key = Universe.uid u in
+      let vocabs = Option.value (Hashtbl.find_opt registry key) ~default:[] in
+      match List.assoc_opt age_thresholds vocabs with
+      | Some v -> v
       | None ->
-          let state = state_of c ~age_thresholds ~max_operands ~visits0:1 in
-          { hu = u; state })
-
-let stored h = with_lock (fun () -> EBank.stored h.state.ebank)
-
-let ensure h n = with_lock (fun () -> EBank.ensure h.state.ebank n)
-
-(* The subtree emitted for a hole: annotated with trivial goals
-   throughout.  The hole's own (exact) goal is already discharged by the
-   lookup — the subtree's value IS the window — and exact goals on inner
-   nodes would be wrong: they describe the hole position, not the
-   subterms. *)
-let partial_for h ~collapse value e =
-  let tbl = if collapse then h.state.partials_collapse else h.state.partials_plain in
-  match VTbl.find_opt tbl value with
-  | Some p -> p
-  | None ->
-      let p = Partial.of_extractor (Goal.trivial h.hu) e in
-      VTbl.add tbl value p;
-      p
-
-type verdict = Emit of Partial.t | Skip | Fallback
-
-let close_hole h ~collapse ~(goal : Goal.t) ~delta =
-  if not (Simage.equal goal.Goal.under goal.Goal.over) then None
-  else
-    Some
-      (with_lock (fun () ->
-           let v = goal.Goal.under in
-           let target = delta + 1 in
-           let decide () =
-             match EBank.find_value h.state.ebank v with
-             | Some (_, sz) when sz < target ->
-                 (* Already emitted for this hole at tier [sz - 1]
-                    (cursor deltas are visited in ascending order). *)
-                 Skip
-             | Some (e, sz) when sz = target -> Emit (partial_for h ~collapse v e)
-             | Some _ ->
-                 (* The bank knows the value only at a larger size (it was
-                    pre-built deeper by an earlier search): keep the
-                    grammar going and emit when the cursor reaches that
-                    tier. *)
-                 Fallback
-             | None -> Fallback
-           in
-           if EBank.built h.state.ebank >= min target max_tier then decide ()
-           else if h.state.visits < 2 then
-             (* First search over this universe: lookup-only (see
-                [bank_state.visits]). *)
-             decide ()
-           else
-             match decide () with
-             | Fallback ->
-                 EBank.ensure h.state.ebank target;
-                 decide ()
-             | v -> v))
-
-(* ---------- snapshot export / import (serving-tier persistence) ----------
-
-   The dump is plain OCaml data — extractor terms plus value id lists —
-   so the wire/disk encoding (and its versioning and checksumming) can
-   live in the serve layer without this module learning about JSON.
-   Values are dumped as entity-id lists and re-interned on import, which
-   also revalidates them against the target universe (out-of-range ids
-   raise, and the importer's caller treats that as a rejected snapshot). *)
-
-type tier_dump = { tier_entries : (Lang.extractor * int list) list; tier_saturated : bool }
-
-type bank_dump = {
-  dump_age_thresholds : int list;
-  dump_max_operands : int;
-  dump_visits : int;
-  dump_tiers : tier_dump list;  (* sizes 1..built, in order *)
-}
-
-let export_universe u =
-  with_lock (fun () ->
-      match Hashtbl.find_opt registry (Universe.uid u) with
-      | None -> []
-      | Some c ->
-          List.rev_map
-            (fun ((age_thresholds, max_operands), state) ->
-              let built = EBank.built state.ebank in
-              let tiers =
-                List.init built (fun i ->
-                    let size = i + 1 in
-                    {
-                      tier_entries =
-                        Array.to_list (EBank.entries state.ebank size)
-                        |> List.map (fun (e, v) -> (e, Simage.to_ids v));
-                      tier_saturated = EBank.saturated state.ebank size;
-                    })
-              in
-              {
-                dump_age_thresholds = age_thresholds;
-                dump_max_operands = max_operands;
-                dump_visits = state.visits;
-                dump_tiers = tiers;
-              })
-            c.banks)
-
-let import_universe u dumps =
-  with_lock (fun () ->
-      let c = ucache_of u in
-      List.iter
-        (fun d ->
-          let state =
-            state_of c ~age_thresholds:d.dump_age_thresholds
-              ~max_operands:d.dump_max_operands ~visits0:d.dump_visits
-          in
-          (* Only a virgin bank is restorable: if a search already built
-             tiers (or a dump was imported twice) the existing contents
-             win — they are correct by construction, and appending dump
-             tiers on top would misnumber sizes. *)
-          if EBank.built state.ebank = 0 then begin
-            state.visits <- max state.visits d.dump_visits;
-            List.iter
-              (fun t ->
-                EBank.restore_tier state.ebank ~saturated:t.tier_saturated
-                  (List.map (fun (e, ids) -> (e, Simage.of_ids u ids)) t.tier_entries))
-              d.dump_tiers
-          end)
-        dumps)
-
-let find_in_window ?max_size h ~under ~over =
-  with_lock (fun () ->
-      let mem v = Simage.subset under v && Simage.subset v over in
-      EBank.find_in_window ?max_size ~mem h.state.ebank)
+          let v = Vocab.of_universe ~age_thresholds u in
+          Hashtbl.replace registry key ((age_thresholds, v) :: vocabs);
+          v)

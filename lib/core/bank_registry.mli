@@ -1,122 +1,29 @@
-(** The per-universe registry behind the hybrid bottom-up/top-down search:
-    extractor value banks ({!Imageeye_engine.Bank} instantiated over
-    hash-consed symbolic images) plus the vocabulary cache, shared across
-    every search — and every task — over the same universe.
+(** The per-universe vocabulary cache, shared across every search — and
+    every task — over the same universe.
 
-    {b Lookup soundness.} The top-down engine consults the bank only for
-    holes whose goal window is {e exact} ([under = over], i.e. the root
-    goal and the windows goal inference derives through [Complement]
-    chains).  An exact window forces the value of every completion of the
-    hole that can appear in a solution, and extractor semantics is
-    compositional on subtree {e values}, so substituting the bank's
-    representative term for the hole preserves (and never delays) the
-    first solution.  Loose windows admit many values — their smallest
-    banked member is typically the always-empty [Complement All] — so
-    short-circuiting them would lose solutions; the engine falls back to
-    grammar expansion there, which also keeps completeness on lookup
-    misses (the bank's tiers are capped, see {!Imageeye_engine.Bank}).
-
-    {b Laziness.} Tier [k + 1] is enumerated only when a search's
-    scheduler first visits size increment [k] on a bank-eligible hole, so
-    cheap tasks never pay for deep banks.
+    {!Vocab.of_universe} walks every entity of a universe; a sweep, a
+    multi-action spec and a daemon serving a recurring spec all search
+    the same universe many times, so the result is memoized per
+    (universe, age thresholds) and reused read-only.
 
     {b Domain safety.} One process-wide mutex serializes every registry
-    and bank operation; emitted subtrees are shared across Domains, whose
-    racing memo writes are benign (both Domains compute the same
-    deterministic result, and OCaml's memory model makes word-sized
-    record updates tear-free).  Registry entries live for the process
-    lifetime ({!clear} drops them). *)
+    operation.  Entries live for the process lifetime unless dropped by
+    {!clear} or {!evict}. *)
 
-module Simage = Imageeye_symbolic.Simage
 module Universe = Imageeye_symbolic.Universe
-
-val max_tier : int
-(** Deepest bank tier ever materialized. *)
-
-val bank_max_delta : int
-(** [max_tier - 1]: the largest scheduler size-increment at which the
-    bank can still emit a term (a size-[k] term fills a size-1 hole at
-    increment [k - 1]). *)
 
 val vocab : Universe.t -> age_thresholds:int list -> Vocab.t
 (** The memoized [Vocab.of_universe], keyed per (universe, thresholds). *)
-
-type handle
-(** A universe's bank for one (age_thresholds, max_operands) key. *)
-
-val handle : Universe.t -> age_thresholds:int list -> max_operands:int -> handle
-
-type verdict =
-  | Emit of Partial.t
-      (** the bank's term for the hole's value, sized exactly [delta + 1];
-          annotated with trivial goals and shared across emissions so its
-          memo amortizes *)
-  | Skip  (** already emitted for this hole at a smaller increment *)
-  | Fallback  (** no usable entry — expand the grammar as usual *)
-
-val close_hole :
-  handle -> collapse:bool -> goal:Goal.t -> delta:int -> verdict option
-(** [None] when the hole's window is not exact (the bank does not apply);
-    otherwise the verdict for this size increment.  Materializes tiers up
-    to [delta + 1] on demand.  [collapse] selects which memoized subtree
-    variant is emitted (collapsed constants change the partially
-    evaluated form). *)
-
-val find_in_window :
-  ?max_size:int ->
-  handle ->
-  under:Simage.t ->
-  over:Simage.t ->
-  (Lang.extractor * Simage.t * int) option
-(** Smallest banked term whose value [v] satisfies [under ⊆ v ⊆ over],
-    searching only tiers already built (use {!ensure} first). *)
-
-val ensure : handle -> int -> unit
-(** Materialize tiers up to the given size (clamped to {!max_tier}). *)
-
-val stored : handle -> int
-(** Distinct values stored so far; the engine differences this around a
-    search for the [value-bank(built)] counter. *)
 
 val clear : unit -> unit
 (** Drop every registry entry (tests, memory release). *)
 
 val evict : Universe.t -> unit
-(** Drop one universe's entry (banks and vocabulary caches) — the
-    streaming tier's O(window) cache calls this when a universe falls
-    behind the cursor, so evicted universes become garbage instead of
-    living for the process lifetime.  No-op for unregistered universes;
-    handles already obtained stay usable but unshared. *)
+(** Drop one universe's entry — the streaming tier's O(window) cache
+    calls this when a universe falls behind the cursor, so evicted
+    universes become garbage instead of living for the process
+    lifetime.  No-op for unregistered universes. *)
 
 val registered : unit -> int
 (** Number of universes currently holding a registry entry (tests: the
     streaming cache bound). *)
-
-(** {1 Snapshot export / import}
-
-    The serving tier persists warm banks across restarts.  The registry
-    exposes its per-universe state as plain data — extractor terms plus
-    entity-id lists — leaving encoding, versioning and checksumming to
-    the serve layer. *)
-
-type tier_dump = {
-  tier_entries : (Lang.extractor * int list) list;
-      (** offer order, already value-deduplicated; values as entity ids *)
-  tier_saturated : bool;
-}
-
-type bank_dump = {
-  dump_age_thresholds : int list;
-  dump_max_operands : int;
-  dump_visits : int;
-  dump_tiers : tier_dump list;  (** sizes [1..built], in order *)
-}
-
-val export_universe : Universe.t -> bank_dump list
-(** Every bank registered for the universe ([[]] when none). *)
-
-val import_universe : Universe.t -> bank_dump list -> unit
-(** Rebuild banks for the universe from a dump.  Values are re-interned
-    against [u], so an id outside the universe raises
-    [Invalid_argument] (callers treat that as a corrupt snapshot).
-    Banks that already have built tiers are left untouched. *)

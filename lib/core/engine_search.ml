@@ -11,7 +11,6 @@ type config = {
   absint_per_image : bool;
   absint_cardinality : bool;
   eval_cache : bool;
-  value_bank : bool;
   optimality : bool;
   optimal_frontier : int;
   timeout_s : float;
@@ -30,7 +29,6 @@ let default_config =
     absint_per_image = true;
     absint_cardinality = true;
     eval_cache = true;
-    value_bank = true;
     optimality = false;
     optimal_frontier = 200_000;
     timeout_s = 120.0;
@@ -62,7 +60,6 @@ let ablations : (string * (config -> config)) list =
     ("no-per-image", fun c -> { c with absint_per_image = false });
     ("no-cardinality", fun c -> { c with absint_cardinality = false });
     ("no-eval-cache", fun c -> { c with eval_cache = false });
-    ("no-value-bank", fun c -> { c with value_bank = false });
     (* The one row that *adds* a technique instead of removing one:
        cost-directed optimal search (Optimal) on top of the full
        configuration, for quality-vs-nodes comparisons. *)
@@ -228,36 +225,25 @@ let min_delta = 0
 
 let max_delta = 4 (* largest instantiation is Find with a parameterized predicate *)
 
-(* [close] is the value-bank hole closure: [close goal ~delta] returns
-   [Some candidates] to override the grammar for a hole (a bank emission,
-   or [] when the bank already emitted for it at a smaller increment) and
-   [None] to expand the grammar as usual.  Grammar instantiations are all
-   single-step, so they only exist up to [max_delta]; the scheduler visits
-   larger increments when the bank is on (its terms go deeper). *)
-let expand u vocab facts config ctx passes ~close ~delta root =
+let expand u vocab facts config ctx passes ~delta root =
   (* A hole's goal may have been tightened by the forward-backward
      analysis when this candidate (or an ancestor candidate sharing the
      hole node) was considered; the per-hole map is cached on the
      candidate root (the only per-candidate node that is never physically
      shared).  It overrides the filled hole's inferred goal everywhere:
-     bank closure, instantiation feasibility, the new node's annotation,
-     and its children's inferred goals — and is inherited by the derived
+     instantiation feasibility, the new node's annotation, and its
+     children's inferred goals — and is inherited by the derived
      candidates so the entries for their surviving holes keep applying. *)
   let rec go (p : Partial.t) =
     match p.node with
-    | Partial.Hole -> (
+    | Partial.Hole ->
         let goal =
           match Partial.tight_for root ~hole:p with Some g -> g | None -> p.goal
         in
-        match close goal ~delta with
-        | Some candidates -> Some candidates
-        | None ->
-            Some
-              (if delta > max_delta then []
-               else
-                 List.filter
-                   (fun inst -> Partial.size inst - 1 = delta)
-                   (instantiations u vocab facts config ctx passes goal)))
+        Some
+          (List.filter
+             (fun inst -> Partial.size inst - 1 = delta)
+             (instantiations u vocab facts config ctx passes goal))
     | Partial.All | Partial.Is _ -> None
     (* Spine nodes above the hole are rebuilt fresh (empty memo slot);
        unchanged sibling subtrees are shared physically, which is what
@@ -287,18 +273,11 @@ let expand u vocab facts config ctx passes ~close ~delta root =
         | Some qs' -> Some (List.map (fun q' -> q' :: rest) qs')
         | None -> Option.map (List.map (fun rest' -> q :: rest')) (go_list rest))
   in
-  match root.Partial.node with
-  (* A root-level hole's candidates may be bank emissions, which are
-     physically shared across candidates and Domains — never write to
-     them.  The tight map could only concern the hole being filled, so
-     there is nothing to inherit anyway. *)
-  | Partial.Hole -> go root
-  | _ ->
-      Option.map
-        (List.map (fun c ->
-             Partial.inherit_tight ~from:root c;
-             c))
-        (go root)
+  Option.map
+    (List.map (fun c ->
+         Partial.inherit_tight ~from:root c;
+         c))
+    (go root)
 
 let const_solved_label = Prune.partial_eval.Prune.name ^ "(const-solved)"
 
@@ -344,8 +323,8 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
     if Prune.wants_absint passes then begin
       (* Reach tables for the analysis, shared with the instantiation-time
          feasibility facts.  Parameterizations outside the (possibly
-         deduplicated) fact lists — e.g. inside bank-emitted terms — fall
-         back to the full universe, which is sound and uninformative. *)
+         deduplicated) fact lists fall back to the full universe, which is
+         sound and uninformative. *)
       let find_tbl = Hashtbl.create 64 and filter_tbl = Hashtbl.create 64 in
       List.iter (fun (p, f, reach) -> Hashtbl.replace find_tbl (p, f) reach)
         facts.find_insts;
@@ -353,9 +332,7 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
         facts.filter_insts;
       let full = Simage.full u in
       Some
-        (Absint.make_env u
-           ~max_iterations:(Absint.max_iterations_from_env ())
-           ~per_image:config.absint_per_image
+        (Absint.make_env u ~per_image:config.absint_per_image
            ~cardinality:config.absint_cardinality
            ?demo_images
            ~reach_find:(fun p f ->
@@ -377,33 +354,6 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
   let checks = List.map (fun (p : Prune.pass) -> (p, p.Prune.fresh ())) passes in
   let cache = if config.eval_cache then Some (Peval.Cache.create ()) else None in
   let ev = Events.create ?sink () in
-  (* The value bank substitutes ONE term per exact-window hole, which is
-     only solution-preserving when one solution is all the caller wants:
-     multi-solution searches (active learning's candidate disagreement)
-     need the grammar's syntactic variety, so the bank stands down. *)
-  let bank =
-    if config.value_bank && limit = 1 then
-      Some
-        (Bank_registry.handle u ~age_thresholds:config.age_thresholds
-           ~max_operands:config.max_operands)
-    else None
-  in
-  let bank_stored0 = match bank with Some h -> Bank_registry.stored h | None -> 0 in
-  let close =
-    match bank with
-    | None -> fun _goal ~delta:_ -> None
-    | Some h -> (
-        fun goal ~delta ->
-          match Bank_registry.close_hole h ~collapse:ctx.Prune.collapse ~goal ~delta with
-          | None -> None
-          | Some (Bank_registry.Emit p) ->
-              Events.record ev (Events.Counted ("value-bank(hit)", 1));
-              Some [ p ]
-          | Some Bank_registry.Skip -> Some []
-          | Some Bank_registry.Fallback ->
-              Events.record ev (Events.Counted ("value-bank(miss)", 1));
-              None)
-  in
   let nodes0 = Eval.count_local_nodes () in
   let solutions = ref [] in
   let exception Done in
@@ -472,14 +422,9 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
       Scheduler.Tiered.size = Partial.size;
       depth = Partial.depth;
       min_delta;
-      (* Bank terms reach sizes the single-step grammar never produces in
-         one increment, so the scheduler must visit the deeper tiers. *)
-      max_delta =
-        (match bank with
-        | Some _ -> max max_delta Bank_registry.bank_max_delta
-        | None -> max_delta);
+      max_delta;
       max_size = config.max_size;
-      expand = (fun p ~delta -> expand u vocab facts config ctx passes ~close ~delta p);
+      expand = (fun p ~delta -> expand u vocab facts config ctx passes ~delta p);
       consider;
     }
   in
@@ -516,11 +461,6 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
           ("value-miss", c.Peval.Cache.value_misses);
           ("evaluated", c.Peval.Cache.evaluated);
         ]
-  | None -> ());
-  (match bank with
-  | Some h ->
-      let built = Bank_registry.stored h - bank_stored0 in
-      if built > 0 then Events.record ev (Events.Counted ("value-bank(built)", built))
   | None -> ());
   (match absint with
   | Some env ->

@@ -39,12 +39,6 @@ type config = {
           memo slots plus a shared form-keyed value table; does not change
           which programs are found or what the pruning passes decide, only
           how much evaluation work [consider] repeats *)
-  value_bank : bool;
-      (** hybrid bottom-up/top-down search (on by default): holes whose
-          goal window is exact are closed from the per-universe
-          value-indexed extractor bank ({!Bank_registry}) instead of
-          being expanded through the grammar; semantics-preserving for
-          single-solution searches (multi-solution searches ignore it) *)
   optimality : bool;
       (** cost-directed optimal synthesis (off by default): instead of
           returning the first consistent program, keep searching past it
@@ -86,8 +80,7 @@ type stats = {
   nodes : int;
       (** extractor AST nodes evaluated during this search (Domain-local
           difference of {!Eval.count_local_nodes}, so Domain-parallel
-          sibling searches don't contaminate it); includes value-bank
-          build work attributed to this search *)
+          sibling searches don't contaminate it) *)
   elapsed_s : float;
   prune_counts : (string * int) list;
       (** per-pass attribution, sorted by pass name: every pruning
@@ -96,11 +89,7 @@ type stats = {
           directly from their folded constant); when the evaluation
           cache is on — ["eval-cache(memo-hit)"], ["eval-cache(value-hit)"],
           ["eval-cache(value-miss)"] and ["eval-cache(evaluated)"]; when
-          the value bank is on — ["value-bank(hit)"] (holes closed from
-          the bank), ["value-bank(miss)"] (exact-window lookups that fell
-          back to the grammar) and ["value-bank(built)"] (bank values
-          stored during this search; 0 when a shared bank was already
-          warm); when the forward-backward analysis is on — ["fwd-bwd"]
+          the forward-backward analysis is on — ["fwd-bwd"]
           (candidates it killed), ["fwd-bwd(iterations)"] (total
           forward-backward rounds) and ["fwd-bwd(tightened)"] (analyses
           that tightened a hole goal).  {!Prune.is_info_label}
@@ -148,8 +137,8 @@ val search :
     solutions, in size-then-depth order — the search simply continues
     past the first success, which is what powers program disambiguation
     and active learning.  [sink] observes the raw event stream.  With
-    [hooks], solution-count termination is delegated to the hooks (the
-    value bank still keys its participation on [limit]).  [demo_images]
+    [hooks], solution-count termination is delegated to the hooks.
+    [demo_images]
     (the spec's demonstrated raw-image ids) lets the fwd-bwd analysis
     keep per-image planes on universes beyond {!Absint.max_planes}
     images — see {!Absint.make_env}. *)

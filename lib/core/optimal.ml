@@ -3,7 +3,7 @@
 
    One search runs, not two.  Until the first consistent program
    appears, the hooks are inert and the exploration is exactly the
-   first-consistent search (same order, same prunes, same bank).  From
+   first-consistent search (same order, same prunes).  From
    then on the best program found so far is the incumbent, and every
    freshly generated candidate is admitted only if its admissible cost
    lower bound (Cost.lower_bound) is strictly below the incumbent's
@@ -67,8 +67,7 @@ let search ~config ?frontier ?sink ?demo_images u i_out =
   in
   let should_stop () = !incumbent <> None && !since_improvement > frontier in
   let hooks = { Engine_search.admit; on_solution; should_stop } in
-  (* limit:1 keeps the value bank in play (it keys participation on
-     single-solution searches); termination is the hooks' job. *)
+  (* With hooks installed, termination is the hooks' job, not [limit]'s. *)
   let enumerated, reason, stats =
     Engine_search.search ~config ~limit:1 ~hooks ?sink ?demo_images u i_out
   in

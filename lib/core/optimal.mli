@@ -25,11 +25,9 @@
 
     The returned program is the minimum-cost consistent program in the
     explored space; among equal-cost programs, the earliest in the
-    deterministic size-then-depth enumeration order.  (With the value
-    bank on, "explored space" is the bank-assisted candidate space of
-    first-consistent mode — the bank substitutes one representative
-    term per exact-goal hole; {!Cost.compare_extractors} is the fully
-    syntactic total order tests use to state optimality.) *)
+    deterministic size-then-depth enumeration order.
+    ({!Cost.compare_extractors} is the fully syntactic total order tests
+    use to state optimality.) *)
 
 type result = {
   best : (Lang.extractor * Cost.t) option;

@@ -109,7 +109,7 @@ val wants_absint : pass list -> bool
 
 val is_info_label : string -> bool
 (** Distinguishes informational counters (["eval-cache(memo-hit)"],
-    ["value-bank(hit)"], ["fwd-bwd(iterations)"], ...) from per-pass
-    prune attributions (["goal-inference"], ["fwd-bwd"], ...) in
+    ["partial-eval(const-solved)"], ["fwd-bwd(iterations)"], ...) from
+    per-pass prune attributions (["goal-inference"], ["fwd-bwd"], ...) in
     [stats.prune_counts]: informational labels carry a parenthesized
     detail suffix, attribution labels are bare pass names. *)

@@ -12,7 +12,6 @@ type config = Engine_search.config = {
   absint_per_image : bool;
   absint_cardinality : bool;
   eval_cache : bool;
-  value_bank : bool;
   optimality : bool;
   optimal_frontier : int;
   timeout_s : float;
@@ -40,111 +39,87 @@ let add_stats = Engine_search.add_stats
 
 type 'a outcome = Success of 'a * stats | Timeout of stats | Exhausted of stats
 
-let search = Engine_search.search
+let map_outcome f = function
+  | Success (x, st) -> Success (f x, st)
+  | Timeout st -> Timeout st
+  | Exhausted st -> Exhausted st
 
-(* With [optimality] on, the search continues past the first consistent
-   program under an incumbent cost bound (Optimal); a timeout with an
-   incumbent in hand still succeeds with it, so the optimal mode never
-   solves fewer tasks than first-consistent mode under the same budget. *)
-let synthesize_extractor ?(config = default_config) ?demo_images u i_out =
-  if config.optimality then begin
+(* One extractor search, as [(best, found)]: the program
+   {!synthesize_extractor} returns and every consistent program the search
+   enumerated.  With [optimality] on, the search continues past the first
+   consistent program under an incumbent cost bound (Optimal); a timeout
+   with an incumbent in hand still succeeds with it, so the optimal mode
+   never solves fewer tasks than first-consistent mode under the same
+   budget. *)
+let search_one ~config ?demo_images u i_out =
+  if config.optimality then
     let r = Optimal.search ~config ?demo_images u i_out in
     match r.Optimal.best with
-    | Some (e, _cost) -> Success (e, r.Optimal.stats)
+    | Some (e, _cost) ->
+        Success ((e, r.Optimal.enumerated), r.Optimal.stats)
     | None -> (
         match r.Optimal.reason with
         | `Timeout -> Timeout r.Optimal.stats
         | `Exhausted | `Found_enough -> Exhausted r.Optimal.stats)
-  end
   else
-    match search ~config ~limit:1 ?demo_images u i_out with
-    | e :: _, _, st -> Success (e, st)
+    match Engine_search.search ~config ~limit:1 ?demo_images u i_out with
+    | e :: _, _, st -> Success ((e, [ e ]), st)
     | [], `Timeout, st -> Timeout st
     | [], (`Exhausted | `Found_enough), st -> Exhausted st
+
+let synthesize_extractor ?(config = default_config) ?demo_images u i_out =
+  map_outcome fst (search_one ~config ?demo_images u i_out)
 
 (* Up to [count] observationally distinct-by-syntax solutions, in the
    worklist's size-then-depth order (the first is the one
    {!synthesize_extractor} returns).  Returns however many were found when
    the budget runs out. *)
 let synthesize_extractors ?(config = default_config) ?demo_images ~count u i_out =
-  let solutions, _, st = search ~config ~limit:(max 1 count) ?demo_images u i_out in
+  let solutions, _, st =
+    Engine_search.search ~config ~limit:(max 1 count) ?demo_images u i_out
+  in
   (solutions, st)
 
-(* Cost-ranked spec-consistent candidates, one list per demonstrated
-   action.  In optimality mode this is the optimal search's whole
-   enumerated solution set — every consistent program it admitted, not
-   just the final incumbent — deduplicated and sorted by the total cost
-   order; otherwise the single first-consistent extractor.  Callers
-   whose real consistency check is stronger than the spec (the
-   interaction loop validates against the full dataset) walk each list
-   cheapest-first and keep the first program that survives. *)
-let synthesize_ranked ?(config = default_config) (spec : Edit.Spec.t) =
-  let u = spec.universe in
-  let demo_images = List.map fst spec.demos in
-  let solve action =
-    let i_out = Edit.Spec.output_for_action spec action in
-    if config.optimality then begin
-      let r = Optimal.search ~config ~demo_images u i_out in
-      match r.Optimal.best with
-      | Some _ ->
-          Success
-            (List.sort_uniq Cost.compare_extractors r.Optimal.enumerated, r.Optimal.stats)
-      | None -> (
-          match r.Optimal.reason with
-          | `Timeout -> Timeout r.Optimal.stats
-          | `Exhausted | `Found_enough -> Exhausted r.Optimal.stats)
-    end
-    else
-      match search ~config ~limit:1 ~demo_images u i_out with
-      | e :: _, _, st -> Success ([ e ], st)
-      | [], `Timeout, st -> Timeout st
-      | [], (`Exhausted | `Found_enough), st -> Exhausted st
-  in
-  let rec go acc stats_acc = function
-    | [] -> Success (List.rev acc, stats_acc)
-    | action :: rest -> (
-        match solve action with
-        | Success (ranked, st) -> go ((action, ranked) :: acc) (add_stats stats_acc st) rest
-        | Timeout st -> Timeout (add_stats stats_acc st)
-        | Exhausted st -> Exhausted (add_stats stats_acc st))
-  in
-  go [] empty_stats (Edit.Spec.demonstrated_actions spec)
-
-(* Top-level Synthesize (Fig. 8): one extractor per demonstrated action.
+(* Fig. 8's per-action decomposition, the one fold every spec-level entry
+   point shares: one [search_one] per demonstrated action, [pick] shaping
+   each success, outcomes folded in action order with stats summed.
 
    The per-action searches are independent, so with a Domain pool they
-   run in parallel; results are folded in action order, which makes the
-   outcome (program and summed stats) identical to sequential mode.  The
-   sequential path keeps the original lazy behavior: actions after the
-   first failure are never searched. *)
-let synthesize ?(config = default_config) ?pool (spec : Edit.Spec.t) =
+   run in parallel; folding in action order makes the outcome (program
+   and summed stats) identical to sequential mode.  The sequential path
+   is lazy: actions after the first failure are never searched. *)
+let per_action ~config ?pool (spec : Edit.Spec.t) pick =
   let u = spec.universe in
   let demo_images = List.map fst spec.demos in
   let actions = Edit.Spec.demonstrated_actions spec in
   let solve action =
-    synthesize_extractor ~config ~demo_images u (Edit.Spec.output_for_action spec action)
+    map_outcome (pick action)
+      (search_one ~config ~demo_images u (Edit.Spec.output_for_action spec action))
   in
-  let fold results =
-    let rec go acc stats_acc = function
-      | [] -> Success (List.rev acc, stats_acc)
-      | (action, outcome) :: rest -> (
-          match outcome with
-          | Success (e, st) -> go ((e, action) :: acc) (add_stats stats_acc st) rest
-          | Timeout st -> Timeout (add_stats stats_acc st)
-          | Exhausted st -> Exhausted (add_stats stats_acc st))
-    in
-    go [] empty_stats results
+  let rec fold acc stats_acc seq =
+    match seq () with
+    | Seq.Nil -> Success (List.rev acc, stats_acc)
+    | Seq.Cons (Success (x, st), rest) -> fold (x :: acc) (add_stats stats_acc st) rest
+    | Seq.Cons (Timeout st, _) -> Timeout (add_stats stats_acc st)
+    | Seq.Cons (Exhausted st, _) -> Exhausted (add_stats stats_acc st)
   in
-  match pool with
-  | Some pool when Domainpool.size pool > 1 && List.length actions > 1 ->
-      fold (Domainpool.map pool (fun action -> (action, solve action)) actions)
-  | _ ->
-      let rec go acc stats_acc = function
-        | [] -> Success (List.rev acc, stats_acc)
-        | action :: rest -> (
-            match solve action with
-            | Success (e, st) -> go ((e, action) :: acc) (add_stats stats_acc st) rest
-            | Timeout st -> Timeout (add_stats stats_acc st)
-            | Exhausted st -> Exhausted (add_stats stats_acc st))
-      in
-      go [] empty_stats actions
+  fold [] empty_stats
+    (match pool with
+    | Some pool when Domainpool.size pool > 1 && List.length actions > 1 ->
+        List.to_seq (Domainpool.map pool solve actions)
+    | _ -> Seq.map solve (List.to_seq actions))
+
+(* Cost-ranked spec-consistent candidates, one list per demonstrated
+   action: in optimality mode every consistent program the search
+   admitted, not just the final incumbent, deduplicated and sorted by the
+   total cost order.  Callers whose real consistency check is stronger
+   than the spec (the interaction loop validates against the full
+   dataset) walk each list cheapest-first and keep the first program that
+   survives. *)
+let synthesize_ranked ?(config = default_config) spec =
+  per_action ~config spec (fun action (_, found) ->
+      (action, List.sort_uniq Cost.compare_extractors found))
+
+(* Top-level Synthesize (Fig. 8): one extractor per demonstrated action. *)
+let synthesize ?(config = default_config) ?pool spec =
+  per_action ~config ?pool spec (fun action (e, _) -> (e, action))

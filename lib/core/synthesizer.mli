@@ -36,10 +36,6 @@ type config = Engine_search.config = {
   eval_cache : bool;
       (** memoized incremental partial evaluation (see
           {!Engine_search.config}); semantics-preserving, on by default *)
-  value_bank : bool;
-      (** hybrid bottom-up/top-down search (see {!Engine_search.config});
-          semantics-preserving for single-solution searches, on by
-          default; {!synthesize_extractors} with [count > 1] ignores it *)
   optimality : bool;
       (** cost-directed optimal synthesis (off by default):
           {!synthesize_extractor} dispatches to {!Optimal.search} and

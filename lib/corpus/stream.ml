@@ -130,10 +130,9 @@ let session_engine ~config =
     { Synthesizer.default_config with timeout_s = config.synth_timeout_s }
 
 (* Incremental re-synthesis at a mid-stream counterexample: resume the
-   demonstration trajectory via [Session.Stepwise.resume] — one warm
-   round over the accumulated demonstrations, against universes and
-   value banks already interned — instead of replaying the interaction
-   loop from round 1.  When [cold_compare] is on, the cold restart
+   demonstration trajectory via [Session.Stepwise.resume] — one round
+   over the accumulated demonstrations — instead of replaying the
+   interaction loop from round 1.  When [cold_compare] is on, the cold restart
    ([Session.run_with] from scratch over the same accumulated dataset —
    the cost a process restart would pay to reach the same spec) is also
    run and measured; it is measured *after* the warm resume and over the

@@ -7,8 +7,9 @@
     story: bootstrap a program from the corpus prefix with the
     interaction loop, stream it, audit each frame against the task's
     ground truth, and on a mismatch resume the demonstration trajectory
-    via {!Imageeye_interact.Session.Stepwise.resume} — warm banks, no
-    replay — splicing the repaired program back into the failing window.
+    via {!Imageeye_interact.Session.Stepwise.resume} — no replay of the
+    rounds already satisfied — splicing the repaired program back into
+    the failing window.
     Each repair also measures the cold-restart cost (a fresh
     interaction-loop run over the same accumulated demonstrations) for
     the warm-vs-cold comparison reported in the benchmarks. *)

@@ -9,8 +9,9 @@ module Bank_registry = Imageeye_core.Bank_registry
    a repair revisiting the frame — splicing the repaired program into the
    failing window — gets the same physical universe and its caches).
    When a frame falls behind the cursor it is *released*: its entry is
-   dropped from the [Batch] intern table and from the [Bank_registry], so
-   the universe and everything keyed on it become garbage.  Without the
+   dropped from the [Batch] intern table and its vocabulary from the
+   [Bank_registry], so the universe and everything keyed on it become
+   garbage.  Without the
    release step, both tables retain entries for the process lifetime and
    a 100k-frame stream holds 100k universes at its end. *)
 

@@ -6,7 +6,7 @@
     e.g. splicing a repaired program into the failing window — get the
     same physical universe) and evicts the oldest frames beyond the
     window, releasing their {!Imageeye_vision.Batch} intern entries and
-    {!Imageeye_core.Bank_registry} caches so they become garbage.  Not
+    {!Imageeye_core.Bank_registry} vocabularies so they become garbage.  Not
     thread-safe; the streaming driver is single-threaded. *)
 
 type t

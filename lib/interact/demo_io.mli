@@ -53,7 +53,6 @@ val to_spec :
     With [~shared:true] the universe is interned via
     {!Imageeye_vision.Batch.shared_universe_of_scenes}: repeated specs
     over equal demonstrated scenes share one physical universe and with
-    it the synthesizer's per-universe value banks and vocabulary.  The
-    serve daemon uses this so identical requests get warmer (entries
-    live for the process lifetime — a one-shot CLI run keeps the
-    default). *)
+    it the synthesizer's per-universe vocabulary.  The serve daemon uses
+    this so identical requests skip universe construction (entries live
+    for the process lifetime — a one-shot CLI run keeps the default). *)

@@ -203,9 +203,8 @@ module Stepwise = struct
      streaming repair path, the mid-stream counterexample consed onto the
      demonstrations the deployed program was synthesized from.  The next
      {!step} synthesizes once over the whole accumulated set (warm: the
-     previously demonstrated images' universes and banks are already
-     interned), where a cold restart would re-run the interaction loop
-     from round 1. *)
+     rounds already satisfied are not replayed), where a cold restart
+     would re-run the interaction loop from round 1. *)
   let resume ~engine ?optimize ?(max_rounds = 10) ?batch_universe ~dataset ~demo_images
       task =
     if demo_images = [] then invalid_arg "Session.Stepwise.resume: no demonstrations";
@@ -247,7 +246,7 @@ module Stepwise = struct
         let demo_scenes = List.map t.scene_of t.demo_images in
         (* Interned: rounds and tasks demonstrating the same images share
            one physical universe, and with it the synthesizer's
-           per-universe value bank and vocabulary. *)
+           per-universe vocabulary. *)
         let demo_u = Batch.shared_universe_of_scenes demo_scenes in
         let demo_edit = Edit.induced_by_program demo_u t.task.Task.ground_truth in
         let spec = Edit.Spec.make demo_u [ (List.hd t.demo_images, demo_edit) ] in

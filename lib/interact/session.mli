@@ -127,9 +127,9 @@ module Stepwise : sig
       repair path, the mid-stream counterexample consed onto the
       demonstrations the deployed program came from); every id must be
       an image of [dataset].  The next {!step} synthesizes once over the
-      whole accumulated set — warm, since the previously demonstrated
-      universes and their value banks are already interned — where a
-      cold restart ({!start}) re-runs the loop from round 1.  The round
+      whole accumulated set — warm, since the rounds the deployed
+      program already satisfied are not replayed — where a cold restart
+      ({!start}) re-runs the loop from round 1.  The round
       counter resumes at [length demo_images], so pass a [max_rounds]
       with headroom above it.  Raises [Invalid_argument] on an empty
       [demo_images] or an id outside the dataset. *)

@@ -7,9 +7,9 @@
     solved; failure; rounds; time_s; nodes; prune_counts; program;
     program_size; cost}].  [nodes] sums the per-search
     {!Imageeye_core.Synthesizer.stats.nodes} deltas over the session's
-    rounds, so bank-construction work charged to the task is included
-    and before/after comparisons (e.g. the committed [BENCH_PR3.json])
-    are apples-to-apples.
+    rounds, so every evaluation charged to the task is included and
+    before/after comparisons (e.g. the committed [BENCH_PR3.json]) are
+    apples-to-apples.
 
     The quality fields make solution quality a first-class trajectory
     axis next to [nodes]: per task, the synthesized program (pretty

@@ -101,11 +101,6 @@ let snapshot t ~queue_depth ~sessions_open ~connections_open =
       let faults_json =
         List.sort compare (Hashtbl.fold (fun l n acc -> (l, J.Int n) :: acc) t.faults [])
       in
-      let bank label =
-        Option.value (Hashtbl.find_opt t.counters (Printf.sprintf "value-bank(%s)" label))
-          ~default:0
-      in
-      let hits = bank "hit" and misses = bank "miss" in
       J.Obj
         [
           ("uptime_s", J.Float (Clock.elapsed_s t.started));
@@ -125,16 +120,6 @@ let snapshot t ~queue_depth ~sessions_open ~connections_open =
                 ("p95_s", J.Float (quantile sorted 0.95));
                 ("p99_s", J.Float (quantile sorted 0.99));
                 ("max_s", J.Float t.latency_max);
-              ] );
-          ( "value_bank",
-            J.Obj
-              [
-                ("hits", J.Int hits);
-                ("misses", J.Int misses);
-                ("built", J.Int (bank "built"));
-                ( "hit_rate",
-                  if hits + misses = 0 then J.Null
-                  else J.Float (float_of_int hits /. float_of_int (hits + misses)) );
               ] );
           ("counters", J.Obj counters_json);
         ])

@@ -4,10 +4,9 @@
     per-(op, outcome) request counts, a bounded latency reservoir from
     which p50/p95 are computed at snapshot time, queue-depth highwater,
     dropped-response count (client went away mid-response), induced-fault
-    counts ({!record_fault}), and the synthesis counters (notably the
-    [value-bank(...)] and [eval-cache(...)] labels of
-    [stats.prune_counts]) summed over every stats-bearing response — how
-    warm the shared banks run is a first-class serving metric.
+    counts ({!record_fault}), and the synthesis counters (the
+    [stats.prune_counts] labels, e.g. [eval-cache(...)] and
+    [fwd-bwd(...)]) summed over every stats-bearing response.
 
     {b Reservoir semantics.} The latency reservoir is a fixed-capacity
     ring (4096 samples) overwritten in arrival order: quantiles are

@@ -5,12 +5,9 @@ module Checksum = Imageeye_util.Checksum
 module Scene_io = Imageeye_scene.Scene_io
 module Batch = Imageeye_vision.Batch
 module Universe = Imageeye_symbolic.Universe
-module Bank_registry = Imageeye_core.Bank_registry
-module Lang = Imageeye_core.Lang
-module Parser = Imageeye_core.Parser
 
 let magic = "imageeye-state"
-let version = 1
+let version = 2
 let snapshot_path dir = Filename.concat dir "state.snapshot"
 
 (* ---------- state-dir locking ---------- *)
@@ -79,38 +76,6 @@ let unlock l =
 
 (* ---------- encoding ---------- *)
 
-type stats = { universes : int; banks : int; values : int }
-
-let bank_json (d : Bank_registry.bank_dump) =
-  J.Obj
-    [
-      ("age_thresholds", J.List (List.map (fun i -> J.Int i) d.dump_age_thresholds));
-      ("max_operands", J.Int d.dump_max_operands);
-      ("visits", J.Int d.dump_visits);
-      ( "tiers",
-        J.List
-          (List.map
-             (fun (t : Bank_registry.tier_dump) ->
-               J.Obj
-                 [
-                   ("saturated", J.Bool t.tier_saturated);
-                   ( "entries",
-                     J.List
-                       (List.map
-                          (fun (e, ids) ->
-                            J.List
-                              [
-                                J.Str (Lang.extractor_to_string e);
-                                J.List (List.map (fun i -> J.Int i) ids);
-                              ])
-                          t.tier_entries) );
-                 ])
-             d.dump_tiers) );
-    ]
-
-let dump_values (d : Bank_registry.bank_dump) =
-  List.fold_left (fun acc t -> acc + List.length t.Bank_registry.tier_entries) 0 d.dump_tiers
-
 let payload () =
   (* Sorted by serialized scenes: snapshots of identical state are
      byte-identical regardless of intern-table iteration order. *)
@@ -120,27 +85,18 @@ let payload () =
            (String.concat "\x00" (List.map Scene_io.to_string scenes), scenes, u))
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
-  let stats = ref { universes = 0; banks = 0; values = 0 } in
   let universe_json (_, scenes, u) =
-    let dumps = Bank_registry.export_universe u in
-    stats :=
-      {
-        universes = !stats.universes + 1;
-        banks = !stats.banks + List.length dumps;
-        values = !stats.values + List.fold_left (fun a d -> a + dump_values d) 0 dumps;
-      };
     J.Obj
       [
         ("scenes", J.List (List.map (fun s -> J.Str (Scene_io.to_string s)) scenes));
         ("entities", J.Int (Universe.size u));
-        ("banks", J.List (List.map bank_json dumps));
       ]
   in
   let doc = J.Obj [ ("universes", J.List (List.map universe_json entries)) ] in
-  (J.to_line doc, !stats)
+  (J.to_line doc, List.length entries)
 
 let save ~state_dir =
-  let body, stats = payload () in
+  let body, universes = payload () in
   let header =
     Printf.sprintf "%s v%d crc32=%s bytes=%d\n" magic version
       (Checksum.to_hex (Checksum.crc32 body))
@@ -149,7 +105,7 @@ let save ~state_dir =
   Fileio.write_atomic (snapshot_path state_dir) (fun oc ->
       output_string oc header;
       output_string oc body);
-  stats
+  universes
 
 (* ---------- decoding ---------- *)
 
@@ -171,39 +127,6 @@ let as_list what v =
 let as_string what v =
   match Jsonin.to_string_opt v with Some s -> s | None -> reject "%s: expected a string" what
 
-let as_bool what v =
-  match Jsonin.to_bool_opt v with Some b -> b | None -> reject "%s: expected a boolean" what
-
-let decode_bank v : Bank_registry.bank_dump =
-  {
-    dump_age_thresholds =
-      as_list "age_thresholds" (get_field v "age_thresholds")
-      |> List.map (as_int "age threshold");
-    dump_max_operands = as_int "max_operands" (get_field v "max_operands");
-    dump_visits = as_int "visits" (get_field v "visits");
-    dump_tiers =
-      as_list "tiers" (get_field v "tiers")
-      |> List.map (fun t ->
-             {
-               Bank_registry.tier_saturated = as_bool "saturated" (get_field t "saturated");
-               tier_entries =
-                 as_list "entries" (get_field t "entries")
-                 |> List.map (fun entry ->
-                        match entry with
-                        | J.List [ term; ids ] ->
-                            let text = as_string "bank term" term in
-                            let e =
-                              match Parser.extractor text with
-                              | Ok e -> e
-                              | Error err ->
-                                  reject "unparseable bank term %S: %s" text
-                                    (Parser.error_to_string err)
-                            in
-                            (e, as_list "value ids" ids |> List.map (as_int "value id"))
-                        | _ -> reject "bank entry: expected [term, ids]");
-             });
-  }
-
 let decode_universe v =
   let scenes =
     as_list "scenes" (get_field v "scenes")
@@ -213,9 +136,7 @@ let decode_universe v =
            | scene -> scene
            | exception Failure msg -> reject "unparseable scene: %s" msg)
   in
-  let entities = as_int "entities" (get_field v "entities") in
-  let banks = as_list "banks" (get_field v "banks") |> List.map decode_bank in
-  (scenes, entities, banks)
+  (scenes, as_int "entities" (get_field v "entities"))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -273,37 +194,26 @@ let load ~state_dir =
         | Ok d -> d
         | Error e -> reject "malformed payload: %s" (Jsonin.error_to_string e)
       in
-      (* Decode fully before importing anything, so most corruption is
-         rejected without touching the registries at all. *)
+      (* Decode fully before interning anything, so most corruption is
+         rejected without touching the intern table at all. *)
       let universes =
         as_list "universes" (get_field doc "universes") |> List.map decode_universe
       in
-      let stats = ref { universes = 0; banks = 0; values = 0 } in
       List.iter
-        (fun (scenes, entities, banks) ->
+        (fun (scenes, entities) ->
           let u = Batch.shared_universe_of_scenes scenes in
           if Universe.size u <> entities then
             reject
               "universe mismatch: snapshot recorded %d entities, detector produced %d \
                (stale snapshot against changed detection logic?)"
-              entities (Universe.size u);
-          (match Bank_registry.import_universe u banks with
-          | () -> ()
-          | exception Invalid_argument msg -> reject "invalid bank value: %s" msg);
-          stats :=
-            {
-              universes = !stats.universes + 1;
-              banks = !stats.banks + List.length banks;
-              values = !stats.values + List.fold_left (fun a d -> a + dump_values d) 0 banks;
-            })
+              entities (Universe.size u))
         universes;
-      !stats
+      List.length universes
     with
-    | stats -> Ok (Some stats)
+    | n -> Ok (Some n)
     | exception Reject msg ->
-        (* Drop whatever the failed import managed to register: a loudly
+        (* Drop whatever the failed load managed to intern: a loudly
            rejected snapshot must leave a clean cold start, not a
-           half-warm registry. *)
-        Bank_registry.clear ();
+           half-warm intern table. *)
         Batch.clear_shared ();
         Error msg

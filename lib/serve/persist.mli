@@ -1,13 +1,11 @@
 (** Durable warm state for the serving tier.
 
-    The daemon's cross-request warmth — interned demonstration universes
-    and their bottom-up extractor value banks — lives in process-wide
-    registries ({!Imageeye_vision.Batch} intern table,
-    [Imageeye_core.Bank_registry]) and dies with the process.  This
-    module snapshots that state to a file under a {e state directory}
-    and restores it on boot, so a restarted daemon serves previously
-    seen specifications with {e zero} cold bank builds
-    ([value-bank(built) = 0]).
+    The daemon's cross-request warmth — the interned demonstration
+    universes — lives in the process-wide {!Imageeye_vision.Batch}
+    intern table and dies with the process.  This module snapshots that
+    table to a file under a {e state directory} and re-interns it on
+    boot, so a restarted daemon answers a previously seen specification
+    over an already-built universe (no new intern-table entry).
 
     {b Format.}  One header line
 
@@ -15,15 +13,17 @@
 
     followed by exactly [bytes] bytes of compact JSON payload: the
     interned scene lists (the durable universe keys — universes
-    themselves are their pure recomputation), each with its banks' tiers
-    as [(extractor term, entity-id list)] entries.  Snapshots are
-    written atomically (write-temp + fsync + rename), so readers see the
+    themselves are their pure recomputation), each with its entity
+    count as a consistency check.  Version 2 dropped the extractor
+    banks that version 1 snapshots carried; a version 1 file is
+    rejected like any other version mismatch.  Snapshots are written
+    atomically (write-temp + fsync + rename), so readers see the
     previous or the new complete snapshot, never a torn one.
 
     {b Failure model.}  A snapshot that is unreadable, carries the wrong
     magic/version, fails its checksum, or decodes to state inconsistent
     with the recomputed universes is {e loudly rejected}: {!load}
-    returns [Error] with a reason, any partially imported state is
+    returns [Error] with a reason, any partially interned state is
     dropped, and the daemon proceeds with a cold start.  Corruption is
     never silent and never a crash.
 
@@ -47,14 +47,13 @@ val unlock : lock -> unit
 val snapshot_path : string -> string
 (** [<dir>/state.snapshot] — exposed so tests can corrupt it. *)
 
-type stats = { universes : int; banks : int; values : int }
-
-val save : state_dir:string -> stats
+val save : state_dir:string -> int
 (** Snapshot the current warm state atomically, replacing any previous
-    snapshot. *)
+    snapshot; returns the number of universes written. *)
 
-val load : state_dir:string -> (stats option, string) result
+val load : state_dir:string -> (int option, string) result
 (** Restore warm state from the directory's snapshot.  [Ok None] when no
-    snapshot exists (fresh directory); [Ok (Some stats)] on a successful
-    warm start; [Error reason] on a rejected snapshot — in which case
-    the registries are left cold (any partial import is cleared). *)
+    snapshot exists (fresh directory); [Ok (Some n)] on a successful warm
+    start that re-interned [n] universes; [Error reason] on a rejected
+    snapshot — in which case the intern table is left cold (any partial
+    load is cleared). *)

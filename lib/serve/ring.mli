@@ -5,10 +5,10 @@
     [crc32 "<worker>#<i>"]; a key routes to the first point clockwise
     from [crc32 key].  Because the points depend only on the worker
     names, the mapping is {e stable}: it survives router restarts (so
-    per-worker bank warmth keeps paying off), and adding or removing one
-    worker remaps only the keys that hashed to that worker's arcs —
-    every other key keeps its assignment (property-tested in
-    [test_router]). *)
+    per-worker interned universes keep paying off), and adding or
+    removing one worker remaps only the keys that hashed to that
+    worker's arcs — every other key keeps its assignment
+    (property-tested in [test_router]). *)
 
 type t
 

@@ -5,11 +5,11 @@
     Routing keys are chosen so that equal warm state lands on equal
     workers: [synthesize] and [apply] hash the serialized scene list
     (the {!Imageeye_vision.Batch} intern key, i.e. the unit of
-    value-bank sharing), and [session-open] hashes
+    universe sharing), and [session-open] hashes
     [(task, images, seed)] — the dataset identity.  The ring is a pure
     function of the worker list, so the key→worker mapping survives
-    router restarts and each worker's bank warmth (including its
-    [--state-dir] snapshots) keeps paying off.
+    router restarts and each worker's interned universes (including its
+    [--state-dir] snapshots) keep paying off.
 
     Sessions are stateful on their worker: the router allocates its own
     session ids, remembers [router sid → (worker, worker sid)], and

@@ -484,10 +484,9 @@ let reader state conn () =
 
 let snapshot_state state ~state_dir ~reason =
   match Persist.save ~state_dir with
-  | (stats : Persist.stats) ->
+  | universes ->
       Metrics.incr_counter state.metrics "persist(snapshots)" 1;
-      logf state "snapshot (%s): %d universe(s), %d bank(s), %d value(s) -> %s" reason
-        stats.universes stats.banks stats.values
+      logf state "snapshot (%s): %d universe(s) -> %s" reason universes
         (Persist.snapshot_path state_dir)
   | exception e ->
       (* A failed snapshot must never take the daemon down — warmth is
@@ -498,12 +497,10 @@ let snapshot_state state ~state_dir ~reason =
 let warm_start state ~state_dir =
   match Persist.load ~state_dir with
   | Ok None -> logf state "state-dir %s: no snapshot, cold start" state_dir
-  | Ok (Some (stats : Persist.stats)) ->
-      Metrics.incr_counter state.metrics "persist(restored-universes)" stats.universes;
-      Metrics.incr_counter state.metrics "persist(restored-banks)" stats.banks;
-      Metrics.incr_counter state.metrics "persist(restored-values)" stats.values;
-      logf state "warm start from %s: %d universe(s), %d bank(s), %d value(s) restored"
-        (Persist.snapshot_path state_dir) stats.universes stats.banks stats.values
+  | Ok (Some universes) ->
+      Metrics.incr_counter state.metrics "persist(restored-universes)" universes;
+      logf state "warm start from %s: %d universe(s) restored"
+        (Persist.snapshot_path state_dir) universes
   | Error reason ->
       (* Loud even under [--quiet]: a rejected snapshot is the one event
          an operator must never miss (and never see as a crash). *)

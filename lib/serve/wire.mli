@@ -25,7 +25,7 @@ val spec_of : scenes:Imageeye_scene.Scene.t list ->
   Imageeye_interact.Demo_io.demo list ->
   (Imageeye_core.Edit.Spec.t, string) result
 (** [Demo_io.to_spec ~shared:true]: repeated identical requests share
-    one interned universe, and with it warm value banks. *)
+    one interned universe, and with it its vocabulary. *)
 
 val program_to_json : Imageeye_core.Lang.program -> J.t
 

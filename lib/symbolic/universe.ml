@@ -58,7 +58,7 @@ let index_images (entities : Entity.t array) =
   (image_ids, image_objects)
 
 (* Universe identity for registries that key caches by universe (e.g. the
-   synthesizer's per-universe value banks).  Like interned uids, creation
+   synthesizer's per-universe vocabularies).  Like interned uids, creation
    order can differ between runs; only compare for equality. *)
 let next_uid = Atomic.make 0
 

@@ -40,7 +40,7 @@ val of_entities : Entity.t list -> t
 
 val uid : t -> int
 (** Identity of this universe, unique within the process; lets registries
-    (e.g. the synthesizer's per-universe extractor value banks) key caches
+    (e.g. the synthesizer's per-universe vocabularies) key caches
     by universe without holding a comparison order.  Creation order can
     differ between runs and Domains — only compare uids for equality. *)
 

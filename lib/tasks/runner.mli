@@ -10,20 +10,15 @@
     (jobs must be independent and must not mutate shared state — force
     lazy datasets/universes {e before} calling {!map}).
 
-    {b Cross-task bank sharing.} Tasks in a sweep demonstrate overlapping
+    {b Cross-task sharing.} Tasks in a sweep demonstrate overlapping
     image sets, and sessions intern demo universes
-    ({!Imageeye_vision.Batch.shared_universe_of_scenes}), so the
-    synthesizer's per-universe extractor value banks and vocabularies
-    ([Imageeye_core.Bank_registry]) are built once and reused by every
-    later task that reaches the same universe — sequentially or across
-    this runner's Domains.  The Domain-safety story lives in the
-    registry, not here: one process-wide mutex serializes bank growth and
-    lookups, so workers observe each tier either fully built or not at
-    all (a frozen prefix), and a worker that needs a deeper tier grows it
-    under the same lock.  Lookup results, and therefore search
-    trajectories and per-search stats, are identical whether a bank was
-    warm or cold, shared or private — only the [value-bank(built)]
-    counter (who paid for construction) depends on scheduling. *)
+    ({!Imageeye_vision.Batch.shared_universe_of_scenes}), so a universe
+    and its vocabulary ([Imageeye_core.Bank_registry]) are built once
+    and reused by every later task that reaches them — sequentially or
+    across this runner's Domains.  Both are pure functions of the scenes,
+    so search trajectories and per-search stats are identical whether
+    they were built by this task or an earlier one, on this Domain or
+    another. *)
 
 val default_jobs : unit -> int
 (** The [IMAGEEYE_JOBS] environment variable, else 1 (sequential). *)

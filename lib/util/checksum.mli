@@ -2,7 +2,7 @@
 
     The on-disk snapshots of the serving tier carry a checksum so a
     torn or bit-flipped file is {e loudly rejected} at warm-start
-    instead of silently corrupting the value banks.  The implementation
+    instead of silently corrupting the restored state.  The implementation
     is the standard reflected table-driven CRC; results match
     [zlib.crc32] / [python binascii.crc32]. *)
 

@@ -18,9 +18,9 @@ let universe_of_scenes ?(noise = Noise.none) ?(seed = 0) scenes =
 
 (* Noiseless detection is a pure function of the scene list, so scene
    lists can be interned to one physical universe.  Physical sharing is
-   what makes the synthesizer's per-universe caches (value banks,
-   vocabularies, interned symbolic images) carry across the tasks and
-   interaction rounds of a sweep that demonstrate the same images.
+   what makes the synthesizer's per-universe caches (vocabularies,
+   interned symbolic images) carry across the tasks and interaction
+   rounds of a sweep that demonstrate the same images.
    Entries are retained for the process lifetime, like the universes a
    sweep holds anyway; the mutex makes sharing safe across Domains. *)
 let shared_tbl : (Imageeye_scene.Scene.t list, Universe.t) Hashtbl.t = Hashtbl.create 64

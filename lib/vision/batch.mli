@@ -22,10 +22,9 @@ val shared_universe_of_scenes :
   Imageeye_scene.Scene.t list -> Imageeye_symbolic.Universe.t
 (** Like {!universe_of_scenes} with noiseless detection, but memoized on
     the scene list: equal scene lists return the {e same physical}
-    universe, so per-universe synthesis caches (extractor value banks,
-    vocabularies, interned symbolic images) are shared across the tasks
-    and interaction rounds of a sweep.  Thread-safe; entries live for the
-    process lifetime. *)
+    universe, so per-universe synthesis caches (vocabularies, interned
+    symbolic images) are shared across the tasks and interaction rounds
+    of a sweep.  Thread-safe; entries live for the process lifetime. *)
 
 val shared_entries :
   unit -> (Imageeye_scene.Scene.t list * Imageeye_symbolic.Universe.t) list

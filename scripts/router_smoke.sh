@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the sharded serving tier: two daemons with
-# persistent state dirs behind one router, a mixed-op load run with a
-# warm-bank assertion and percentile sanity, a worker SIGKILLed mid-run
-# (the router must re-hash to the survivor and count the loss), a
-# duplicate-daemon probe that must die with state-dir-locked, graceful
-# drains all around, and a worker restart that must come back warm from
-# its snapshot.  Run via `make router-smoke`; CI runs it on every push.
+# persistent state dirs behind one router, a mixed-op load run with
+# percentile sanity, a worker SIGKILLed mid-run (the router must
+# re-hash to the survivor and count the loss), a duplicate-daemon probe
+# that must die with state-dir-locked, graceful drains all around, and a
+# worker restart that must come back warm from its snapshot.  Run via
+# `make router-smoke`; CI runs it on every push.
 set -euo pipefail
 
 BIN=${BIN:-./_build/default/bin/imageeye.exe}
@@ -53,9 +53,9 @@ wait_sock "$RSOCK"
 echo "== ping answered by the router itself"
 "$BIN" client ping --socket "$RSOCK" | grep -q '"router"'
 
-echo "== mixed-op loadgen through the router, warm banks required"
+echo "== mixed-op loadgen through the router"
 out=$("$BIN" loadgen --socket "$RSOCK" --concurrency 4 --requests 12 \
-  --task 1 --ops synthesize,apply --expect-warm)
+  --task 1 --ops synthesize,apply)
 echo "$out"
 
 echo "== percentile sanity: per-op p50 <= p95 <= p99 for both ops"
@@ -139,8 +139,8 @@ RESTART_PID=$!
 if [ "$SURVIVOR_SOCK" = "$W1SOCK" ]; then W1_PID=$RESTART_PID; else W2_PID=$RESTART_PID; fi
 wait_sock "$SURVIVOR_SOCK"
 "$BIN" client metrics --socket "$SURVIVOR_SOCK" \
-  | jq -e '.metrics.counters["persist(restored-banks)"] >= 1' >/dev/null || {
-  echo "restarted worker did not restore its banks" >&2
+  | jq -e '.metrics.counters["persist(restored-universes)"] >= 1' >/dev/null || {
+  echo "restarted worker did not restore its universes" >&2
   cat "$SURVIVOR_LOG" >&2
   exit 1
 }

@@ -67,7 +67,7 @@ let test_prefix_dataset () =
 let test_window_bound () =
   let c = Corpus.make ~domain:Dataset.Objects ~seed:11 ~frames:50 in
   let interned_before = Batch.shared_count () in
-  let banks_before = Bank_registry.registered () in
+  let vocabs_before = Bank_registry.registered () in
   let w = Window.create ~window:8 in
   for f = 0 to 49 do
     ignore (Window.universe w f (Corpus.scene c f));
@@ -91,8 +91,8 @@ let test_window_bound () =
   Alcotest.(check int) "drop releases everything" 0 (Window.live w);
   Alcotest.(check int) "drop empties the intern table delta" interned_before
     (Batch.shared_count ());
-  Alcotest.(check bool) "drop leaves no new banks" true
-    (Bank_registry.registered () <= banks_before + 8)
+  Alcotest.(check bool) "drop leaves no new vocabularies" true
+    (Bank_registry.registered () <= vocabs_before + 8)
 
 (* ---------- streaming: determinism, bound, warm repair ---------- *)
 

@@ -76,8 +76,8 @@ let spec_for task =
 
 (* Everything observable about an outcome except wall-clock time. *)
 let stats_sig (s : Synthesizer.stats) =
-  Printf.sprintf "popped=%d enqueued=%d infeasible=%d reducible=%d {%s}"
-    s.popped s.enqueued s.pruned_infeasible s.pruned_reducible
+  Printf.sprintf "popped=%d enqueued=%d infeasible=%d reducible=%d nodes=%d {%s}"
+    s.popped s.enqueued s.pruned_infeasible s.pruned_reducible s.nodes
     (String.concat ", "
        (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) s.prune_counts))
 
@@ -88,13 +88,14 @@ let outcome_sig = function
   | Synthesizer.Exhausted s -> "exhausted | " ^ stats_sig s
 
 (* The evaluation cache reports its own hit/miss counters through
-   [prune_counts]; stripping them leaves exactly what must be
-   byte-identical between cached and uncached runs (programs, worklist
-   traffic, per-pass prune attribution). *)
+   [prune_counts] and saves node evaluations; stripping both leaves
+   exactly what must be byte-identical between cached and uncached runs
+   (programs, worklist traffic, per-pass prune attribution). *)
 let strip_cache_counts (s : Synthesizer.stats) =
   {
     s with
-    Synthesizer.prune_counts =
+    Synthesizer.nodes = 0;
+    prune_counts =
       List.filter
         (fun (l, _) ->
           not (String.length l >= 11 && String.sub l 0 11 = "eval-cache("))
@@ -131,22 +132,16 @@ let engine_synthesize spec =
   in
   go [] Synthesizer.empty_stats (Edit.Spec.demonstrated_actions spec)
 
-(* [nodes_acc] accumulates (bank, no-bank) node totals across the domain's
-   tasks so the suite can assert the bank never costs evaluations. *)
-let check_task ~pool ~nodes_acc task =
+let check_task ~pool task =
   match spec_for task with
   | None ->
       Alcotest.failf "task %d: ground truth edits no image of the test dataset"
         task.Task.id
   | Some spec ->
-      (* Warm the universe's value bank before measuring: every comparison
-         below must agree byte-for-byte on prune_counts, including
-         [value-bank(built)], which only a warm bank makes deterministic
-         (0 for every measured run).  Two warmups, because the bank's
-         first search over a universe is lookup-only — tier building
-         starts with the second visit. *)
-      ignore (Synthesizer.synthesize ~config spec);
-      ignore (Synthesizer.synthesize ~config spec);
+      (* A search carries no state into the next one over the same
+         universe: a repeat must match the first run byte-for-byte,
+         program and every statistic but wall time. *)
+      let first = Synthesizer.synthesize ~config spec in
       let n0 = Eval.count_nodes_evaluated () in
       let wrapper = Synthesizer.synthesize ~config spec in
       let cached_nodes = Eval.count_nodes_evaluated () - n0 in
@@ -154,6 +149,9 @@ let check_task ~pool ~nodes_acc task =
       | Synthesizer.Timeout _ ->
           Alcotest.failf "task %d: budget is supposed to be deterministic" task.Task.id
       | _ -> ());
+      Alcotest.(check string)
+        (Printf.sprintf "task %d: repeated search = first search" task.Task.id)
+        (outcome_sig first) (outcome_sig wrapper);
       Alcotest.(check string)
         (Printf.sprintf "task %d: wrapper = layered engine" task.Task.id)
         (outcome_sig wrapper)
@@ -180,31 +178,6 @@ let check_task ~pool ~nodes_acc task =
            task.Task.id cached_nodes uncached_nodes)
         true
         (cached_nodes <= uncached_nodes);
-      (* The value bank substitutes only value-equivalent subtrees, so
-         turning it off may change which witness is found first — never
-         solvability within the bank run's budget — and any two witnesses
-         must induce the same edit on demonstrated and held-out images
-         alike. *)
-      let n2 = Eval.count_nodes_evaluated () in
-      let no_bank =
-        Synthesizer.synthesize
-          ~config:{ config with Synthesizer.value_bank = false }
-          spec
-      in
-      let no_bank_nodes = Eval.count_nodes_evaluated () - n2 in
-      let u = spec.Edit.Spec.universe in
-      (match (wrapper, no_bank) with
-      | Synthesizer.Success (p, _), Synthesizer.Success (q, _) ->
-          Alcotest.(check bool)
-            (Printf.sprintf
-               "task %d: bank and grammar witnesses induce equal edits (%s vs %s)"
-               task.Task.id (Lang.program_to_string p) (Lang.program_to_string q))
-            true
-            (Edit.equal (Edit.induced_by_program u p) (Edit.induced_by_program u q))
-      | _, Synthesizer.Success _ ->
-          Alcotest.failf "task %d: value bank lost a solution the grammar finds"
-            task.Task.id
-      | _ -> ());
       (* The forward-backward fixpoint only discards candidates with no
          solving completion and only tightens hole goals soundly, so it is
          solution-preserving: with it off the search must return the
@@ -259,54 +232,13 @@ let check_task ~pool ~nodes_acc task =
             { config with Synthesizer.absint_per_image = false } );
           ( "cardinality bounds",
             { config with Synthesizer.absint_cardinality = false } );
-        ];
-      let bank_total, no_bank_total = !nodes_acc in
-      nodes_acc := (bank_total + cached_nodes, no_bank_total + no_bank_nodes)
+        ]
 
 let suite_case domain =
   Alcotest.test_case (Dataset.domain_name domain) `Slow (fun () ->
       Domainpool.with_pool ~jobs:2 (function
         | None -> Alcotest.fail "expected a pool"
-        | Some pool ->
-            let nodes_acc = ref (0, 0) in
-            List.iter (check_task ~pool ~nodes_acc) (Benchmarks.for_domain domain);
-            let bank_nodes, no_bank_nodes = !nodes_acc in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: warm bank never evaluates more nodes (%d vs %d)"
-                 (Dataset.domain_name domain) bank_nodes no_bank_nodes)
-              true
-              (bank_nodes <= no_bank_nodes)))
-
-(* The bank's window lookup must return a term whose value it banked and
-   that lies inside the requested window — over arbitrary windows, not
-   just the exact ones the engine uses. *)
-let find_in_window_prop =
-  QCheck2.Test.make ~name:"bank find_in_window results satisfy containment"
-    ~count:200
-    QCheck2.Gen.(
-      let* a = list_size (int_bound 12) nat in
-      let* b = list_size (int_bound 12) nat in
-      return (a, b))
-    (fun (a, b) ->
-      let _, u = environment ~n_images:(dataset_size Dataset.Wedding) Dataset.Wedding in
-      let module Simage = Imageeye_symbolic.Simage in
-      let module Bank_registry = Imageeye_core.Bank_registry in
-      let ids = List.map (fun (e : Imageeye_symbolic.Entity.t) -> e.id) (Universe.entities u) in
-      let n = List.length ids in
-      let pick xs = Simage.of_ids u (List.sort_uniq compare (List.map (fun i -> i mod n) xs)) in
-      let va = pick a and vb = pick b in
-      let under = Simage.inter va vb and over = Simage.union va vb in
-      let h =
-        Bank_registry.handle u ~age_thresholds:config.Synthesizer.age_thresholds
-          ~max_operands:config.Synthesizer.max_operands
-      in
-      Bank_registry.ensure h 5;
-      match Bank_registry.find_in_window h ~under ~over with
-      | None -> true
-      | Some (term, v, size) ->
-          Simage.subset under v && Simage.subset v over
-          && Simage.equal (Eval.extractor u term) v
-          && Lang.size term = size)
+        | Some pool -> List.iter (check_task ~pool) (Benchmarks.for_domain domain)))
 
 (* Universes beyond [Absint.max_planes] images used to collapse to a
    single abstract plane, silently giving up per-image pruning exactly
@@ -378,7 +310,6 @@ let () =
   Alcotest.run "engine-equivalence"
     (List.map (fun d -> (Dataset.domain_name d, [ suite_case d ])) Dataset.all_domains
     @ [
-        ("value-bank", [ QCheck_alcotest.to_alcotest find_in_window_prop ]);
         ( "demo-planes",
           [
             Alcotest.test_case "over-budget universes keep demo planes" `Slow

@@ -229,10 +229,6 @@ let stats_sig (s : Synthesizer.stats) =
 (* Per demonstrated action: the plain first-consistent search and the
    branch-and-bound optimal search over the same goal. *)
 let check_action ~task u i_out =
-  (* Warm the value bank so prune_counts are deterministic across the
-     repeated searches below (see the engine-equivalence suite). *)
-  ignore (Engine_search.search ~config ~limit:1 u i_out);
-  ignore (Engine_search.search ~config ~limit:1 u i_out);
   let plain = Engine_search.search ~config ~limit:1 u i_out in
   let inert = Engine_search.search ~config ~limit:1 ~hooks:inert_hooks u i_out in
   (match (plain, inert) with

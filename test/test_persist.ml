@@ -1,7 +1,7 @@
 (* Durability layer: atomic file writes, CRC-32, snapshot save/load of
-   the warm bank registry, state-dir locking, and the restart-warmth
+   the interned universes, state-dir locking, and the restart-warmth
    end-to-end scenario (serve, synthesize, drain, restart, repeat spec
-   with zero cold bank builds — including loud rejection of a corrupted
+   over the restored universe — including loud rejection of a corrupted
    snapshot followed by a working cold start). *)
 
 module Fileio = Imageeye_util.Fileio
@@ -14,10 +14,8 @@ module Client = Imageeye_serve.Client
 module Protocol = Imageeye_serve.Protocol
 module Faultnet = Imageeye_serve.Faultnet
 module Bank_registry = Imageeye_core.Bank_registry
-module Lang = Imageeye_core.Lang
 module Edit = Imageeye_core.Edit
 module Batch = Imageeye_vision.Batch
-module Simage = Imageeye_symbolic.Simage
 module Universe = Imageeye_symbolic.Universe
 module Scene = Imageeye_scene.Scene
 module Scene_io = Imageeye_scene.Scene_io
@@ -121,72 +119,54 @@ let test_crc32_hex () =
 
 (* ---------- snapshot round-trip ---------- *)
 
-let age_thresholds = [ 18 ]
-let max_operands = 2
+(* The warm state a snapshot carries: each interned scene list with its
+   universe's size, independent of physical universes. *)
+let interned () =
+  Batch.shared_entries ()
+  |> List.map (fun (scenes, u) -> (List.map Scene_io.to_string scenes, Universe.size u))
+  |> List.sort compare
 
-(* Answers that must survive the disk round-trip: every banked lookup a
-   search could make, summarized as strings independent of physical
-   universes. *)
-let bank_answers u h =
-  let probes =
-    [ (Simage.empty u, Simage.full u); (Simage.full u, Simage.full u) ]
-    @ (if Universe.size u > 0 then [ (Simage.of_ids u [ 0 ], Simage.of_ids u [ 0 ]) ] else [])
-    @
-    if Universe.size u > 1 then
-      [ (Simage.of_ids u [ 1 ], Simage.full u); (Simage.empty u, Simage.of_ids u [ 0; 1 ]) ]
-    else []
-  in
-  List.map
-    (fun (under, over) ->
-      match Bank_registry.find_in_window h ~under ~over with
-      | None -> None
-      | Some (e, v, size) -> Some (Lang.extractor_to_string e, Simage.to_ids v, size))
-    probes
-
-let build_bank scenes ~depth =
-  let u = Batch.shared_universe_of_scenes scenes in
-  let h = Bank_registry.handle u ~age_thresholds ~max_operands in
-  Bank_registry.ensure h depth;
-  (u, h)
-
-let roundtrip_once ~seed ~n_images ~depth =
-  cold_registries ();
+(* Intern one universe per non-empty prefix of a generated dataset;
+   returns the dataset's scenes. *)
+let intern_prefixes ~seed ~n_images =
   let dataset = Dataset.generate ~n_images ~seed (Benchmarks.by_id 1).Task.domain in
   let scenes = dataset.Dataset.scenes in
-  let u, h = build_bank scenes ~depth in
-  let stored0 = Bank_registry.stored h in
-  let answers0 = bank_answers u h in
+  List.iteri
+    (fun i _ -> ignore (Batch.shared_universe_of_scenes (List.filteri (fun j _ -> j <= i) scenes)))
+    scenes;
+  scenes
+
+let roundtrip_once ~seed ~n_images =
+  cold_registries ();
+  let scenes = intern_prefixes ~seed ~n_images in
+  let before = interned () in
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let stats = Persist.save ~state_dir:dir in
+  let saved = Persist.save ~state_dir:dir in
+  Alcotest.(check int) "every universe saved" (List.length before) saved;
   cold_registries ();
   (match Persist.load ~state_dir:dir with
-  | Ok (Some loaded) ->
-      Alcotest.(check int) "universes restored" stats.Persist.universes loaded.Persist.universes;
-      Alcotest.(check int) "banks restored" stats.Persist.banks loaded.Persist.banks;
-      Alcotest.(check int) "values restored" stats.Persist.values loaded.Persist.values
+  | Ok (Some loaded) -> Alcotest.(check int) "universes restored" saved loaded
   | Ok None -> Alcotest.fail "snapshot vanished"
   | Error msg -> Alcotest.failf "snapshot rejected: %s" msg);
-  let u' = Batch.shared_universe_of_scenes scenes in
-  let h' = Bank_registry.handle u' ~age_thresholds ~max_operands in
-  Alcotest.(check int) "stored values equal" stored0 (Bank_registry.stored h');
-  let answers1 = bank_answers u' h' in
-  Alcotest.(check bool) "find_in_window answers equal" true (answers0 = answers1);
+  Alcotest.(check (list (pair (list string) int))) "interned state equal" before (interned ());
+  (* A spec over restored scenes gets the restored universe back. *)
+  ignore (Batch.shared_universe_of_scenes scenes);
+  Alcotest.(check int) "restored universe reused" saved (List.length (Batch.shared_entries ()));
   cold_registries ()
 
-let test_roundtrip_deterministic () = roundtrip_once ~seed:11 ~n_images:2 ~depth:3
+let test_roundtrip_deterministic () = roundtrip_once ~seed:11 ~n_images:2
 
 let prop_roundtrip =
-  QCheck.Test.make ~name:"random banks survive the disk round-trip" ~count:6
-    QCheck.(triple (int_bound 999) (int_range 1 3) (int_range 2 4))
-    (fun (seed, n_images, depth) ->
-      roundtrip_once ~seed ~n_images ~depth;
+  QCheck.Test.make ~name:"random universes survive the round-trip" ~count:6
+    QCheck.(pair (int_bound 999) (int_range 1 4))
+    (fun (seed, n_images) ->
+      roundtrip_once ~seed ~n_images;
       true)
 
 let test_save_is_deterministic () =
   cold_registries ();
-  let dataset = Dataset.generate ~n_images:2 ~seed:5 (Benchmarks.by_id 1).Task.domain in
-  let _ = build_bank dataset.Dataset.scenes ~depth:2 in
+  let _ = intern_prefixes ~seed:5 ~n_images:3 in
   let dir1 = temp_dir () and dir2 = temp_dir () in
   Fun.protect
     ~finally:(fun () ->
@@ -203,8 +183,7 @@ let test_save_is_deterministic () =
 
 let saved_snapshot_dir () =
   cold_registries ();
-  let dataset = Dataset.generate ~n_images:2 ~seed:3 (Benchmarks.by_id 1).Task.domain in
-  let _ = build_bank dataset.Dataset.scenes ~depth:2 in
+  let _ = intern_prefixes ~seed:3 ~n_images:2 in
   let dir = temp_dir () in
   let _ = Persist.save ~state_dir:dir in
   cold_registries ();
@@ -256,7 +235,7 @@ let test_load_wrong_version () =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Persist.snapshot_path dir in
   let content = read_file path in
-  let marker = " v1 " in
+  let marker = " v2 " in
   let rec find i =
     if i + String.length marker > String.length content then
       Alcotest.fail "no version marker in header"
@@ -270,7 +249,21 @@ let test_load_wrong_version () =
         (String.length content - at - String.length marker)
   in
   Fileio.write_atomic_string path bumped;
-  expect_rejection ~what:"future version" dir "version"
+  expect_rejection ~what:"future version" dir "version";
+  (* A version 1 snapshot, as daemons that kept extractor banks wrote
+     it: valid header and checksum, a [banks] array per universe.  The
+     daemon must refuse it by version and start cold. *)
+  let scene = List.hd (Dataset.generate ~n_images:1 ~seed:3 Dataset.Wedding).Dataset.scenes in
+  let body =
+    Printf.sprintf
+      {|{"universes":[{"scenes":[%s],"entities":3,"banks":[{"age_thresholds":[18],"max_operands":3,"visits":2,"tiers":[{"saturated":false,"entries":[["All",[0,1,2]]]}]}]}]}|}
+      (J.to_line (J.Str (Scene_io.to_string scene)))
+  in
+  Fileio.write_atomic_string path
+    (Printf.sprintf "imageeye-state v1 crc32=%s bytes=%d\n%s"
+       (Checksum.to_hex (Checksum.crc32 body))
+       (String.length body) body);
+  expect_rejection ~what:"v1 snapshot" dir "version v1"
 
 let test_load_garbage () =
   let dir = temp_dir () in
@@ -340,14 +333,10 @@ let rpc_ok c request =
       if not (Client.is_ok r) then Alcotest.failf "server error: %s" (J.to_line r);
       r
 
-let prune_count r label =
-  match
-    Option.bind (Jsonin.member "stats" r) (fun s ->
-        Option.bind (Jsonin.member "prune_counts" s) (fun pc ->
-            Option.bind (Jsonin.member label pc) Jsonin.to_int_opt))
-  with
-  | Some n -> n
-  | None -> 0
+let stat_nodes r =
+  Option.value ~default:0
+    (Option.bind (Jsonin.member "stats" r) (fun s ->
+         Option.bind (Jsonin.member "nodes" s) Jsonin.to_int_opt))
 
 let test_restart_warmth_e2e () =
   cold_registries ();
@@ -359,16 +348,10 @@ let test_restart_warmth_e2e () =
   let scenes, demos = demo_payload 30 ~images:6 ~demo_images:1 ~seed:3 in
   let synth = Protocol.Synthesize { scenes; demos; timeout_s = Some 20.0; optimal = false } in
 
-  (* First life: build warmth (the bank builds on the second visit). *)
+  (* First life: the spec's universe is interned. *)
   let d1 = Faultnet.start ~config () in
-  let cold_built =
-    Faultnet.with_client d1 (fun c ->
-        let r1 = rpc_ok c synth in
-        let r2 = rpc_ok c synth in
-        ignore (rpc_ok c synth);
-        prune_count r1 "value-bank(built)" + prune_count r2 "value-bank(built)")
-  in
-  Alcotest.(check bool) "first life built the bank" true (cold_built > 0);
+  let r1 = Faultnet.with_client d1 (fun c -> rpc_ok c synth) in
+  Alcotest.(check bool) "first life interned the universe" true (Batch.shared_entries () <> []);
   (* While the daemon lives, its state dir is locked against a second
      daemon (the faultnet scenario for the lock satellite). *)
   (match Persist.lock_state_dir state_dir with
@@ -381,16 +364,20 @@ let test_restart_warmth_e2e () =
     (Sys.file_exists (Persist.snapshot_path state_dir));
 
   (* Second life: forget everything in memory, restore from disk, and
-     prove the repeated spec does zero cold bank builds. *)
+     prove the repeated spec reuses the restored universe (no new intern
+     entry) and is answered exactly as before the restart. *)
   cold_registries ();
   let d2 = Faultnet.start ~config () in
-  Alcotest.(check bool) "banks restored on boot" true
-    (Faultnet.metric_int d2 [ "counters"; "persist(restored-banks)" ] > 0);
+  Alcotest.(check bool) "universes restored on boot" true
+    (Faultnet.metric_int d2 [ "counters"; "persist(restored-universes)" ] >= 1);
+  let restored = List.length (Batch.shared_entries ()) in
   Faultnet.with_client d2 (fun c ->
       let r = rpc_ok c synth in
-      Alcotest.(check int) "value-bank(built) = 0 after restart" 0
-        (prune_count r "value-bank(built)");
-      Alcotest.(check bool) "warm hits immediately" true (prune_count r "value-bank(hit)" > 0));
+      Alcotest.(check int) "restored universe reused" restored
+        (List.length (Batch.shared_entries ()));
+      Alcotest.(check bool) "same program" true
+        (Jsonin.member "program" r = Jsonin.member "program" r1);
+      Alcotest.(check int) "same nodes" (stat_nodes r1) (stat_nodes r));
   Faultnet.stop d2;
 
   (* Third life: corrupt one byte; boot must loudly reject, start cold,
@@ -405,7 +392,7 @@ let test_restart_warmth_e2e () =
   Alcotest.(check int) "rejection counted" 1
     (Faultnet.metric_int d3 [ "faults"; "snapshot-rejected" ]);
   Alcotest.(check int) "nothing restored" 0
-    (Faultnet.metric_int d3 [ "counters"; "persist(restored-banks)" ]);
+    (Faultnet.metric_int d3 [ "counters"; "persist(restored-universes)" ]);
   Faultnet.with_client d3 (fun c ->
       let r = rpc_ok c synth in
       Alcotest.(check bool) "cold start still serves" true (Client.is_ok r));

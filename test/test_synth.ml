@@ -702,17 +702,13 @@ let test_ablations_sound () =
 let test_pruning_reduces_search () =
   let u = fig2_universe () in
   let i_out = Simage.of_ids u [ 0; 1; 3 ] in
-  (* Bank off: this measures grammar-search pruning, and the shared
-     value bank deepens between consecutive searches over the same
-     universe, which would skew the second measurement. *)
-  let base = { synth_config with Synthesizer.value_bank = false } in
   let enqueued config =
     match Synthesizer.synthesize_extractor ~config u i_out with
     | Synthesizer.Success (_, st) -> st.enqueued
     | _ -> max_int
   in
-  let full = enqueued base in
-  let no_equiv = enqueued { base with Synthesizer.equiv_reduction = false } in
+  let full = enqueued synth_config in
+  let no_equiv = enqueued { synth_config with Synthesizer.equiv_reduction = false } in
   Alcotest.(check bool)
     (Printf.sprintf "full %d <= no_equiv %d" full no_equiv)
     true (full <= no_equiv)
