@@ -25,8 +25,6 @@ type env = {
   cardinality : bool;
   masks : Bitset.t array;
   msizes : int array;
-  find_cache : (Pred.t * Func.t * int, Bitset.t) Hashtbl.t;
-  filter_cache : (Pred.t * int, Bitset.t) Hashtbl.t;
   mutable analyses : int;
   mutable iterations : int;
   mutable tightened : int;
@@ -80,8 +78,6 @@ let make_env ?(max_iterations = default_max_iterations) ?(per_image = true)
     cardinality;
     masks;
     msizes = Array.map Bitset.cardinal masks;
-    find_cache = Hashtbl.create 64;
-    filter_cache = Hashtbl.create 64;
     analyses = 0;
     iterations = 0;
     tightened = 0;
@@ -96,38 +92,42 @@ type result = Feasible | Infeasible
    partially evaluated [Form.t] (whose collapsed constants are the exact
    forward values of complete subtrees).
 
-   Intervals live in a *product* domain: every mirror node carries one
-   plane per demo image (images partition the universe and every DSL
-   operator is image-local — spatial relations and containment never
-   cross images — so the concrete value of any subexpression restricted
-   to an image depends only on its inputs restricted to that image).
-   Each plane holds a bitset interval [fwd_under, fwd_over] /
-   [bwd_under, bwd_over] relative to the image's object mask, plus a
-   cardinality interval [clo, chi] on |value ∩ mask| that can express
-   counting facts the bitsets cannot (a Find yields at most one output
-   per input object; a Union of k singleton-bounded children covers at
-   most k objects). *)
-type plane = {
-  mask : Bitset.t;
-  msize : int;
+   Intervals live in a *product* domain with one plane per demo image
+   (images partition the universe and every DSL operator is image-local —
+   spatial relations and containment never cross images — so the concrete
+   value of any subexpression restricted to an image depends only on its
+   inputs restricted to that image).  Each node holds a bitset interval
+   [fwd_under, fwd_over] / [bwd_under, bwd_over] and a cardinality
+   interval [clo.(i), chi.(i)] on |value ∩ mask_i| per plane, which can
+   express counting facts the bitsets cannot (a Find yields at most one
+   output per input object; a Union of k singleton-bounded children
+   covers at most k objects).
+
+   The bitset bounds are stored whole-universe: since the masks partition
+   the universe, the plane-i interval is the whole one met with mask i,
+   and union, intersection and complement act on every plane at once.
+   Planes are visited one by one only where they differ: the cardinality
+   transfers, the reduced-product pins, and the Find/Filter rule for an
+   input that is empty on a plane. *)
+type node = {
+  src : Partial.t;
+  shape : shape;
   mutable fwd_under : Bitset.t;
   mutable fwd_over : Bitset.t;
   mutable bwd_under : Bitset.t;
   mutable bwd_over : Bitset.t;
-  mutable clo : int;
-  mutable chi : int;
-  (* Popcount cache: [cu]/[co] are valid while [cu_for]/[co_for] is
-     physically the current fwd bitset.  Bitsets are persistent, so an
-     unchanged pointer means an unchanged count — and the fixpoint
-     re-runs forward over every node each round, mostly without changing
-     anything, so most refresh_card calls skip both popcounts. *)
+  clo : int array;
+  chi : int array;
+  (* Per-plane popcount caches: [cu]/[co] hold |fwd ∩ mask_i| while
+     [cu_for]/[co_for] is physically the current fwd bitset.  Bitsets are
+     persistent, so an unchanged pointer means unchanged counts — and the
+     fixpoint re-runs forward over every node each round, mostly without
+     changing anything, so most refreshes skip the popcounts. *)
   mutable cu_for : Bitset.t;
-  mutable cu : int;
+  cu : int array;
   mutable co_for : Bitset.t;
-  mutable co : int;
+  co : int array;
 }
-
-type node = { src : Partial.t; shape : shape; planes : plane array }
 
 and shape =
   | Value of Bitset.t
@@ -135,8 +135,8 @@ and shape =
   | Complement of node
   | Union of node list
   | Intersect of node list
-  | Find of node * Pred.t * Func.t
-  | Filter of node * Pred.t
+  | Find of node * Bitset.t  (** reach of the parameterization *)
+  | Filter of node * Bitset.t
 
 exception Mismatch
 exception Dead
@@ -145,27 +145,9 @@ exception Dead_card
 let analyze env (root : Partial.t) (form : Form.t) =
   env.analyses <- env.analyses + 1;
   let n = Universe.size env.u in
-  let nplanes = Array.length env.masks in
-  let empty = Bitset.create n in
-  let restrict i b = if nplanes = 1 then b else Bitset.inter b env.masks.(i) in
-  let reach_find_at pr fn i =
-    let key = (pr, fn, i) in
-    match Hashtbl.find_opt env.find_cache key with
-    | Some b -> b
-    | None ->
-        let b = restrict i (Simage.bitset (env.reach_find pr fn)) in
-        Hashtbl.add env.find_cache key b;
-        b
-  in
-  let reach_filter_at pr i =
-    let key = (pr, i) in
-    match Hashtbl.find_opt env.filter_cache key with
-    | Some b -> b
-    | None ->
-        let b = restrict i (Simage.bitset (env.reach_filter pr)) in
-        Hashtbl.add env.filter_cache key b;
-        b
-  in
+  let masks = env.masks and msizes = env.msizes in
+  let nplanes = Array.length masks in
+  let empty = Bitset.create n and full = Bitset.full n in
   let inherited = Partial.tight root in
   let mk (p : Partial.t) shape =
     (* Holes seed their backward interval from the tight map a previous
@@ -187,23 +169,16 @@ let analyze env (root : Partial.t) (form : Form.t) =
     {
       src = p;
       shape;
-      planes =
-        Array.init nplanes (fun i ->
-            let mask = env.masks.(i) in
-            {
-              mask;
-              msize = env.msizes.(i);
-              fwd_under = empty;
-              fwd_over = mask;
-              bwd_under = restrict i gu;
-              bwd_over = restrict i go;
-              clo = 0;
-              chi = env.msizes.(i);
-              cu_for = empty;
-              cu = 0;
-              co_for = mask;
-              co = env.msizes.(i);
-            });
+      fwd_under = empty;
+      fwd_over = full;
+      bwd_under = gu;
+      bwd_over = go;
+      clo = Array.make nplanes 0;
+      chi = Array.copy msizes;
+      cu_for = empty;
+      cu = Array.make nplanes 0;
+      co_for = full;
+      co = Array.copy msizes;
     }
   in
   let rec build (p : Partial.t) (f : Form.t) =
@@ -219,137 +194,182 @@ let analyze env (root : Partial.t) (form : Form.t) =
           ->
             mk p (Intersect (List.map2 build qs fqs))
         | Partial.Find (q, pr, fn), Form.Find (fq, _, _) ->
-            mk p (Find (build q fq, pr, fn))
-        | Partial.Filter (q, pr), Form.Filter (fq, _) -> mk p (Filter (build q fq, pr))
+            mk p (Find (build q fq, Simage.bitset (env.reach_find pr fn)))
+        | Partial.Filter (q, pr), Form.Filter (fq, _) ->
+            mk p (Filter (build q fq, Simage.bitset (env.reach_filter pr)))
         | _ -> raise Mismatch)
   in
-  (* Meet the freshly computed forward bounds with the plane's backward
-     interval; an empty meet means no completion consistent with the goals
-     can produce this node's value on this image. *)
-  let set_fwd pl u o =
-    let u = if Bitset.subset pl.bwd_under u then u else Bitset.union u pl.bwd_under in
-    let o = if Bitset.subset o pl.bwd_over then o else Bitset.inter o pl.bwd_over in
-    if not (Bitset.subset u o) then raise Dead;
+  (* Operator cardinality bounds of the node being refreshed, one per
+     plane: filled by each transfer, then read by [settle]. *)
+  let slo = Array.make nplanes 0 and shi = Array.make nplanes 0 in
+  let no_card_bounds () =
+    Array.fill slo 0 nplanes 0;
+    Array.blit msizes 0 shi 0 nplanes
+  in
+  let sync_counts nd =
+    if not (nd.cu_for == nd.fwd_under) then begin
+      nd.cu_for <- nd.fwd_under;
+      for i = 0 to nplanes - 1 do
+        nd.cu.(i) <- Bitset.cardinal_inter nd.fwd_under masks.(i)
+      done
+    end;
+    if not (nd.co_for == nd.fwd_over) then begin
+      nd.co_for <- nd.fwd_over;
+      for i = 0 to nplanes - 1 do
+        nd.co.(i) <- Bitset.cardinal_inter nd.fwd_over masks.(i)
+      done
+    end
+  in
+  (* Meet plane [i]'s operator bounds [slo.(i), shi.(i)] with the stored
+     interval and the bounds the bitsets imply, then run the reduced-
+     product step: a cardinality pinned to one end of the plane's bitset
+     interval forces the bitsets together on that plane.  A pin keeps the
+     popcount caches valid: the other planes are untouched. *)
+  let refresh_card nd i =
+    sync_counts nd;
+    let cu = nd.cu.(i) and co = nd.co.(i) in
+    let lo = max (max slo.(i) cu) nd.clo.(i) and hi = min (min shi.(i) co) nd.chi.(i) in
+    if lo > hi then raise Dead_card;
+    nd.clo.(i) <- lo;
+    nd.chi.(i) <- hi;
+    if hi = cu && co > cu then begin
+      nd.fwd_over <-
+        (if nplanes = 1 then nd.fwd_under
+         else Bitset.splice masks.(i) ~inside:nd.fwd_under ~outside:nd.fwd_over);
+      nd.co_for <- nd.fwd_over;
+      nd.co.(i) <- cu
+    end
+    else if lo = co && cu < co then begin
+      nd.fwd_under <-
+        (if nplanes = 1 then nd.fwd_over
+         else Bitset.splice masks.(i) ~inside:nd.fwd_over ~outside:nd.fwd_under);
+      nd.cu_for <- nd.fwd_under;
+      nd.cu.(i) <- co
+    end
+  in
+  (* Plane by plane, in order: a plane whose bitset interval is empty
+     kills the candidate, else its cardinality is refreshed (which may kill
+     it on counting grounds).  [ok] says the whole-universe interval is
+     non-empty, so no plane's is and only the counting runs; when it is
+     false, some plane is empty because the masks cover the universe. *)
+  let settle nd ok =
+    for i = 0 to nplanes - 1 do
+      if (not ok) && not (Bitset.subset_on masks.(i) nd.fwd_under nd.fwd_over) then
+        raise Dead;
+      if env.cardinality then refresh_card nd i
+    done
+  in
+  (* Meet freshly computed forward bounds with the node's backward
+     interval and store them; an empty meet on a plane means no
+     completion consistent with the goals can produce this node's value
+     on that image. *)
+  let set_fwd nd u o =
+    let u = if Bitset.subset nd.bwd_under u then u else Bitset.union u nd.bwd_under in
+    let o = if Bitset.subset o nd.bwd_over then o else Bitset.inter o nd.bwd_over in
     (* Keep the old pointer when the recomputed set is equal: the fixpoint
        re-runs forward over every node each round, mostly reproducing the
        same sets from fresh allocations, and an unchanged pointer is what
-       lets refresh_card's popcount cache hit. *)
-    pl.fwd_under <-
-      (if u == pl.fwd_under || Bitset.equal u pl.fwd_under then pl.fwd_under else u);
-    pl.fwd_over <-
-      (if o == pl.fwd_over || Bitset.equal o pl.fwd_over then pl.fwd_over else o)
+       lets the popcount caches hit. *)
+    nd.fwd_under <-
+      (if u == nd.fwd_under || Bitset.equal u nd.fwd_under then nd.fwd_under else u);
+    nd.fwd_over <-
+      (if o == nd.fwd_over || Bitset.equal o nd.fwd_over then nd.fwd_over else o);
+    settle nd (Bitset.subset u o)
   in
-  (* Meet the operator's cardinality bounds [slo, shi] with the stored
-     interval and the bounds the bitsets imply, then run the reduced-
-     product step: a cardinality pinned to one end of the bitset interval
-     forces the bitsets together. *)
-  let refresh_card pl slo shi =
-    if not (pl.cu_for == pl.fwd_under) then begin
-      pl.cu_for <- pl.fwd_under;
-      pl.cu <- Bitset.cardinal pl.fwd_under
-    end;
-    if not (pl.co_for == pl.fwd_over) then begin
-      pl.co_for <- pl.fwd_over;
-      pl.co <- Bitset.cardinal pl.fwd_over
-    end;
-    let cu = pl.cu and co = pl.co in
-    let lo = max (max slo cu) pl.clo and hi = min (min shi co) pl.chi in
-    if lo > hi then raise Dead_card;
-    pl.clo <- lo;
-    pl.chi <- hi;
-    if hi = cu && co > cu then pl.fwd_over <- pl.fwd_under
-    else if lo = co && cu < co then pl.fwd_under <- pl.fwd_over
+  (* Find/Filter output nothing on a plane where their input is surely
+     empty. *)
+  let gate_reach c reach =
+    if Bitset.is_empty c.fwd_over then empty
+    else if nplanes = 1 then reach
+    else begin
+      let r = ref reach in
+      for i = 0 to nplanes - 1 do
+        if Bitset.disjoint c.fwd_over masks.(i) && not (Bitset.disjoint !r masks.(i)) then
+          r := Bitset.diff !r masks.(i)
+      done;
+      !r
+    end
   in
   let rec forward nd =
     match nd.shape with
     | Value v ->
-        for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          let v = restrict i v in
-          set_fwd pl v v;
-          if env.cardinality then refresh_card pl 0 pl.msize
-        done
+        no_card_bounds ();
+        set_fwd nd v v
     | Hole ->
-        for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          set_fwd pl pl.bwd_under pl.bwd_over;
-          if env.cardinality then refresh_card pl 0 pl.msize
-        done
+        no_card_bounds ();
+        set_fwd nd nd.bwd_under nd.bwd_over
     | Complement c ->
         forward c;
         for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) and cp = c.planes.(i) in
-          set_fwd pl (Bitset.diff pl.mask cp.fwd_over) (Bitset.diff pl.mask cp.fwd_under);
-          if env.cardinality then refresh_card pl (pl.msize - cp.chi) (pl.msize - cp.clo)
-        done
+          slo.(i) <- msizes.(i) - c.chi.(i);
+          shi.(i) <- msizes.(i) - c.clo.(i)
+        done;
+        set_fwd nd (Bitset.complement c.fwd_over) (Bitset.complement c.fwd_under)
     | Union cs ->
         List.iter forward cs;
         for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          set_fwd pl
-            (List.fold_left (fun acc c -> Bitset.union acc c.planes.(i).fwd_under) empty cs)
-            (List.fold_left (fun acc c -> Bitset.union acc c.planes.(i).fwd_over) empty cs);
-          if env.cardinality then
-            refresh_card pl
-              (List.fold_left (fun acc c -> max acc c.planes.(i).clo) 0 cs)
-              (min pl.msize (List.fold_left (fun acc c -> acc + c.planes.(i).chi) 0 cs))
-        done
+          slo.(i) <- List.fold_left (fun acc c -> max acc c.clo.(i)) 0 cs;
+          shi.(i) <- min msizes.(i) (List.fold_left (fun acc c -> acc + c.chi.(i)) 0 cs)
+        done;
+        set_fwd nd
+          (List.fold_left (fun acc c -> Bitset.union acc c.fwd_under) empty cs)
+          (List.fold_left (fun acc c -> Bitset.union acc c.fwd_over) empty cs)
     | Intersect cs ->
         List.iter forward cs;
         for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          set_fwd pl
-            (List.fold_left (fun acc c -> Bitset.inter acc c.planes.(i).fwd_under) pl.mask cs)
-            (List.fold_left (fun acc c -> Bitset.inter acc c.planes.(i).fwd_over) pl.mask cs);
-          if env.cardinality then
-            refresh_card pl 0
-              (List.fold_left (fun acc c -> min acc c.planes.(i).chi) pl.msize cs)
-        done
-    | Find (c, pr, fn) ->
+          slo.(i) <- 0;
+          shi.(i) <- List.fold_left (fun acc c -> min acc c.chi.(i)) msizes.(i) cs
+        done;
+        set_fwd nd
+          (List.fold_left (fun acc c -> Bitset.inter acc c.fwd_under) full cs)
+          (List.fold_left (fun acc c -> Bitset.inter acc c.fwd_over) full cs)
+    | Find (c, reach) ->
         forward c;
+        (* find_from maps each input object to at most one first match,
+           so |out ∩ img| ≤ |in ∩ img| — this is the bound that kills
+           Union-of-Finds candidates chasing too many targets. *)
         for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) and cp = c.planes.(i) in
-          let o = if Bitset.is_empty cp.fwd_over then empty else reach_find_at pr fn i in
-          set_fwd pl empty o;
-          (* find_from maps each input object to at most one first match,
-             so |out ∩ img| ≤ |in ∩ img| — this is the bound that kills
-             Union-of-Finds candidates chasing too many targets. *)
-          if env.cardinality then refresh_card pl 0 cp.chi
-        done
-    | Filter (c, pr) ->
+          slo.(i) <- 0;
+          shi.(i) <- c.chi.(i)
+        done;
+        set_fwd nd empty (gate_reach c reach)
+    | Filter (c, reach) ->
         forward c;
-        for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) and cp = c.planes.(i) in
-          let o = if Bitset.is_empty cp.fwd_over then empty else reach_filter_at pr i in
-          set_fwd pl empty o;
-          if env.cardinality then refresh_card pl 0 pl.msize
-        done
+        no_card_bounds ();
+        set_fwd nd empty (gate_reach c reach)
   in
-  (* Meet [under, over] into a child plane's backward interval; physical
+  (* Meet [under, over] into a child's backward interval; physical
      equality of the untouched bitsets doubles as the cheap change test
-     driving the fixpoint. *)
-  let tighten changed pl ~under ~over =
+     driving the fixpoint.  Returns whether the interval is non-empty. *)
+  let tighten changed nd ~under ~over =
     let bu =
-      if Bitset.subset under pl.bwd_under then pl.bwd_under
-      else Bitset.union pl.bwd_under under
+      if Bitset.subset under nd.bwd_under then nd.bwd_under
+      else Bitset.union nd.bwd_under under
     in
     let bo =
-      if Bitset.subset pl.bwd_over over then pl.bwd_over
-      else Bitset.inter pl.bwd_over over
+      if Bitset.subset nd.bwd_over over then nd.bwd_over
+      else Bitset.inter nd.bwd_over over
     in
-    if not (bu == pl.bwd_under && bo == pl.bwd_over) then begin
-      pl.bwd_under <- bu;
-      pl.bwd_over <- bo;
+    if bu == nd.bwd_under && bo == nd.bwd_over then true
+    else begin
+      nd.bwd_under <- bu;
+      nd.bwd_over <- bo;
       changed := true;
-      if not (Bitset.subset bu bo) then raise Dead
+      Bitset.subset bu bo
     end
   in
-  let tighten_card changed pl lo hi =
+  (* The plane-[i] part of a [tighten] that left an empty interval
+     somewhere ([ok] false). *)
+  let check_tightened ok nd i =
+    if (not ok) && not (Bitset.subset_on masks.(i) nd.bwd_under nd.bwd_over) then
+      raise Dead
+  in
+  let tighten_card changed nd i lo hi =
     if env.cardinality then begin
-      let lo = max lo pl.clo and hi = min hi pl.chi in
-      if lo > pl.clo || hi < pl.chi then begin
-        pl.clo <- lo;
-        pl.chi <- hi;
+      let lo = max lo nd.clo.(i) and hi = min hi nd.chi.(i) in
+      if lo > nd.clo.(i) || hi < nd.chi.(i) then begin
+        nd.clo.(i) <- lo;
+        nd.chi.(i) <- hi;
         changed := true;
         if lo > hi then raise Dead_card
       end
@@ -357,100 +377,103 @@ let analyze env (root : Partial.t) (form : Form.t) =
   in
   let rec backward changed nd =
     (* Refine this node with whatever the parent just pushed into its
-       backward intervals, so descendants see the tightest bounds. *)
-    for i = 0 to nplanes - 1 do
-      let pl = nd.planes.(i) in
-      let gu =
-        if Bitset.subset pl.bwd_under pl.fwd_under then pl.fwd_under
-        else Bitset.union pl.fwd_under pl.bwd_under
-      in
-      let go =
-        if Bitset.subset pl.fwd_over pl.bwd_over then pl.fwd_over
-        else Bitset.inter pl.fwd_over pl.bwd_over
-      in
-      if not (Bitset.subset gu go) then raise Dead;
-      pl.fwd_under <- gu;
-      pl.fwd_over <- go;
-      if env.cardinality then refresh_card pl 0 pl.msize
-    done;
+       backward interval, so descendants see the tightest bounds. *)
+    let gu =
+      if Bitset.subset nd.bwd_under nd.fwd_under then nd.fwd_under
+      else Bitset.union nd.fwd_under nd.bwd_under
+    in
+    let go =
+      if Bitset.subset nd.fwd_over nd.bwd_over then nd.fwd_over
+      else Bitset.inter nd.fwd_over nd.bwd_over
+    in
+    nd.fwd_under <- gu;
+    nd.fwd_over <- go;
+    no_card_bounds ();
+    settle nd (Bitset.subset gu go);
     match nd.shape with
     | Value _ | Hole -> ()
     | Complement c ->
+        let ok =
+          tighten changed c ~under:(Bitset.complement nd.fwd_over)
+            ~over:(Bitset.complement nd.fwd_under)
+        in
         for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) and cp = c.planes.(i) in
-          tighten changed cp
-            ~under:(Bitset.diff pl.mask pl.fwd_over)
-            ~over:(Bitset.diff pl.mask pl.fwd_under);
-          tighten_card changed cp (pl.msize - pl.chi) (pl.msize - pl.clo)
+          check_tightened ok c i;
+          tighten_card changed c i (msizes.(i) - nd.chi.(i)) (msizes.(i) - nd.clo.(i))
         done;
         backward changed c
     | Union cs ->
-        for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          let gu = pl.fwd_under and go = pl.fwd_over in
-          List.iter
-            (fun c ->
-              let cp = c.planes.(i) in
-              (* Whatever the siblings cannot possibly produce, this child
-                 must: under = g⁻ \ ⋃_{j≠i} overⱼ.  Counting-wise, the
-                 siblings supply at most Σ_{j≠i} chiⱼ of the clo objects
-                 the union needs, and the child contributes at most chi. *)
+        let gu = nd.fwd_under and go = nd.fwd_over in
+        (* Whatever the siblings cannot possibly produce, this child must:
+           under = g⁻ \ ⋃_{j≠i} overⱼ. *)
+        let ok =
+          List.fold_left
+            (fun ok c ->
               let sib =
                 List.fold_left
-                  (fun acc c' ->
-                    if c' == c then acc else Bitset.union acc c'.planes.(i).fwd_over)
+                  (fun acc c' -> if c' == c then acc else Bitset.union acc c'.fwd_over)
                   empty cs
               in
               let under = if Bitset.disjoint gu sib then gu else Bitset.diff gu sib in
-              tighten changed cp ~under ~over:go;
+              tighten changed c ~under ~over:go && ok)
+            true cs
+        in
+        (* Counting-wise, the siblings supply at most Σ_{j≠i} chiⱼ of the
+           clo objects the union needs, and the child contributes at most
+           chi. *)
+        for i = 0 to nplanes - 1 do
+          List.iter
+            (fun c ->
+              check_tightened ok c i;
               let sib_chi =
                 List.fold_left
-                  (fun acc c' -> if c' == c then acc else acc + c'.planes.(i).chi)
+                  (fun acc c' -> if c' == c then acc else acc + c'.chi.(i))
                   0 cs
               in
-              tighten_card changed cp (pl.clo - sib_chi) pl.chi)
+              tighten_card changed c i (nd.clo.(i) - sib_chi) nd.chi.(i))
             cs
         done;
         List.iter (backward changed) cs
     | Intersect cs ->
-        for i = 0 to nplanes - 1 do
-          let pl = nd.planes.(i) in
-          let gu = pl.fwd_under and go = pl.fwd_over in
-          List.iter
-            (fun c ->
-              let cp = c.planes.(i) in
-              (* Objects every sibling surely keeps but the node must drop
-                 can only be dropped here: over = mask \ ((⋂_{j≠i} underⱼ) \ g⁺).
-                 Counting-wise the child keeps at least the clo objects the
-                 intersection needs. *)
+        let gu = nd.fwd_under and go = nd.fwd_over in
+        (* Objects every sibling surely keeps but the node must drop can
+           only be dropped here: over = ∁((⋂_{j≠i} underⱼ) \ g⁺). *)
+        let ok =
+          List.fold_left
+            (fun ok c ->
               let sib =
                 List.fold_left
-                  (fun acc c' ->
-                    if c' == c then acc else Bitset.inter acc c'.planes.(i).fwd_under)
-                  pl.mask cs
+                  (fun acc c' -> if c' == c then acc else Bitset.inter acc c'.fwd_under)
+                  full cs
               in
               let over =
-                if Bitset.subset sib go then pl.mask
-                else Bitset.diff pl.mask (Bitset.diff sib go)
+                if Bitset.subset sib go then full
+                else Bitset.complement (Bitset.diff sib go)
               in
-              tighten changed cp ~under:gu ~over;
-              tighten_card changed cp pl.clo cp.msize)
+              tighten changed c ~under:gu ~over && ok)
+            true cs
+        in
+        (* Counting-wise the child keeps at least the clo objects the
+           intersection needs. *)
+        for i = 0 to nplanes - 1 do
+          List.iter
+            (fun c ->
+              check_tightened ok c i;
+              tighten_card changed c i nd.clo.(i) msizes.(i))
             cs
         done;
         List.iter (backward changed) cs
-    | Find (c, _, _) ->
+    | Find (c, _) ->
         (* Output constraints say nothing about which input produced a
            match, but each output needs a distinct input: |in| ≥ |out|. *)
         for i = 0 to nplanes - 1 do
-          tighten_card changed c.planes.(i) nd.planes.(i).clo c.planes.(i).msize
+          tighten_card changed c i nd.clo.(i) msizes.(i)
         done;
         backward changed c
     | Filter (c, _) ->
         (* A non-empty filter output needs at least one input container. *)
         for i = 0 to nplanes - 1 do
-          tighten_card changed c.planes.(i)
-            (if nd.planes.(i).clo > 0 then 1 else 0)
-            c.planes.(i).msize
+          tighten_card changed c i (if nd.clo.(i) > 0 then 1 else 0) msizes.(i)
         done;
         backward changed c
   in
@@ -460,40 +483,33 @@ let analyze env (root : Partial.t) (form : Form.t) =
       match nd.shape with
       | Hole -> acc := nd :: !acc
       | Value _ -> ()
-      | Complement c | Find (c, _, _) | Filter (c, _) -> go c
+      | Complement c | Find (c, _) | Filter (c, _) -> go c
       | Union cs | Intersect cs -> List.iter go cs
     in
     go tree;
     List.rev !acc
   in
   (* Record the tightened goal of *every* hole whose final interval beats
-     its annotation, keyed by the hole's physical node.  Planes partition
-     the universe, so the global interval is the per-plane union.  The
-     forward fields are read, not the backward ones: for a hole, forward
-     is the backward interval met with the cardinality reduction (e.g. a
-     pinned singleton), which is strictly tighter and equally sound — a
-     solving completion's value must respect the count bounds too. *)
+     its annotation, keyed by the hole's physical node.  The forward
+     fields are read, not the backward ones: for a hole, forward is the
+     backward interval met with the cardinality reduction (e.g. a pinned
+     singleton), which is strictly tighter and equally sound — a solving
+     completion's value must respect the count bounds too. *)
   let record_tight tree =
     let entries =
       List.filter_map
         (fun h ->
-          let bu =
-            Array.fold_left (fun acc pl -> Bitset.union acc pl.fwd_under) empty h.planes
-          in
-          let bo =
-            Array.fold_left (fun acc pl -> Bitset.union acc pl.fwd_over) empty h.planes
-          in
           let g = h.src.Partial.goal in
           if
-            Bitset.equal bu (Simage.bitset g.Goal.under)
-            && Bitset.equal bo (Simage.bitset g.Goal.over)
+            Bitset.equal h.fwd_under (Simage.bitset g.Goal.under)
+            && Bitset.equal h.fwd_over (Simage.bitset g.Goal.over)
           then None
           else
             Some
               ( h.src,
                 Goal.make
-                  ~under:(Simage.of_bitset env.u bu)
-                  ~over:(Simage.of_bitset env.u bo) ))
+                  ~under:(Simage.of_bitset env.u h.fwd_under)
+                  ~over:(Simage.of_bitset env.u h.fwd_over) ))
         (holes tree)
     in
     if entries <> [] then begin

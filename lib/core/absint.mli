@@ -29,7 +29,9 @@
       per image, met independently.  A candidate dies as soon as it is
       infeasible on {e any single} demo image, and [Find]/[Filter] are
       bounded by per-image reach sets instead of their whole-universe
-      union.
+      union.  The bitset part is stored whole-universe (a plane is the
+      whole interval met with its image's mask), so operators that
+      distribute over the partition run once for every plane.
     - {e cardinality bounds}: each plane also tracks [⟨|e|min, |e|max⟩]
       with its own transfer functions ([Find] yields at most one output
       per input; a [Union] of k children supplies at most Σ|cᵢ|max
@@ -73,12 +75,10 @@ type env = {
   max_iterations : int;
   cardinality : bool;  (** track [⟨|e|min, |e|max⟩] per plane *)
   masks : Imageeye_util.Bitset.t array;
-      (** one object mask per plane; a single full mask when per-image
-          refinement is off or the universe has too many images *)
+      (** one object mask per plane, partitioning the universe; a single
+          full mask when per-image refinement is off or the universe has
+          too many images *)
   msizes : int array;  (** cardinality of each mask *)
-  find_cache : (Pred.t * Func.t * int, Imageeye_util.Bitset.t) Hashtbl.t;
-  filter_cache : (Pred.t * int, Imageeye_util.Bitset.t) Hashtbl.t;
-      (** per-plane restrictions of the reach tables, filled lazily *)
   mutable analyses : int;  (** candidates analyzed *)
   mutable iterations : int;  (** total forward-backward rounds *)
   mutable tightened : int;  (** analyses that tightened at least one hole *)

@@ -1,5 +1,4 @@
 module Simage = Imageeye_symbolic.Simage
-module Universe = Imageeye_symbolic.Universe
 module Events = Imageeye_engine.Events
 module Scheduler = Imageeye_engine.Scheduler
 
@@ -111,121 +110,75 @@ let add_stats a b =
     prune_counts = merge_counts a.prune_counts b.prune_counts;
   }
 
-(* Precomputed facts about the vocabulary over one input image: predicate
-   extensions, and the largest possible output of each Find/Filter
-   instantiation (independent of the nested extractor).  These refine goal
-   inference: a Find(□, p, f) whose possible outputs cannot cover the
-   hole's parent under-approximation is infeasible no matter how the hole
-   is filled. *)
-type vocab_facts = {
-  extension : Pred.t -> Simage.t;
-  find_insts : (Pred.t * Func.t * Simage.t) list;
-  filter_insts : (Pred.t * Simage.t) list;
+(* The size increments of one expansion: All adds nothing to the hole it
+   fills; Find with a size-2 predicate adds the most. *)
+let min_delta = 0
+
+let max_delta = 4
+
+(* What one search instantiates holes from: the vocabulary predicates and
+   the Find/Filter parameterizations of its facts, each grouped by the
+   size increment its constructor adds, so an expansion builds one tier
+   without looking at the others. *)
+type tiers = {
+  is_preds : Pred.t list array;
+  finds : (Pred.t * Func.t * Simage.t) list array;
+  filters : (Pred.t * Simage.t) list array;
 }
 
-let compute_facts ?(dedup = true) u vocab =
-  let ext_tbl = Hashtbl.create 64 in
-  let extension p =
-    match Hashtbl.find_opt ext_tbl p with
-    | Some v -> v
-    | None ->
-        let v = Simage.filter (fun e -> Pred.entails e p) (Simage.full u) in
-        Hashtbl.add ext_tbl p v;
-        v
+let tiers_of vocab (facts : Facts.t) =
+  let by_delta delta_of xs =
+    Array.init (max_delta + 1) (fun delta -> List.filter (fun x -> delta_of x = delta) xs)
   in
-  let n = Universe.size u in
-  let full = Simage.full u in
-  (* Semantic signature of a Find parameterization: the per-object value of
-     f_phi.  Two (p, f) pairs with equal signatures yield equal Find results
-     for every nested extractor, so only one representative is kept; a pair
-     whose signature is everywhere None always produces the empty image and
-     is dropped outright (a smaller always-empty program, Complement(All),
-     is enumerated first).  Both cuts are observational-equivalence
-     reductions, so they are disabled with the rest of Section 5.5. *)
-  let seen_sigs = Hashtbl.create 64 in
-  let find_insts =
-    List.concat_map
-      (fun p ->
-        List.filter_map
-          (fun f ->
-            let signature = Array.init n (Eval.find_first u f p) in
-            let empty = Array.for_all (( = ) None) signature in
-            if dedup then
-              if empty || Hashtbl.mem seen_sigs signature then None
-              else begin
-                Hashtbl.add seen_sigs signature ();
-                Some (p, f, Eval.find_from u full p f)
-              end
-            else Some (p, f, Eval.find_from u full p f))
-          (Vocab.functions vocab))
-      (Vocab.predicates vocab)
-  in
-  let seen_filter_sigs = Hashtbl.create 64 in
-  let filter_insts =
-    List.filter_map
-      (fun p ->
-        let signature =
-          Array.init n (fun o ->
-              List.filter
-                (fun inner -> Pred.entails (Universe.entity u inner) p)
-                (Array.to_list (Universe.contents u o)))
-        in
-        let empty = Array.for_all (( = ) []) signature in
-        if dedup then
-          if empty || Hashtbl.mem seen_filter_sigs signature then None
-          else begin
-            Hashtbl.add seen_filter_sigs signature ();
-            Some (p, Eval.filter_from u full p)
-          end
-        else Some (p, Eval.filter_from u full p))
-      (Vocab.predicates vocab)
-  in
-  { extension; find_insts; filter_insts }
+  {
+    is_preds = by_delta Pred.size (Vocab.predicates vocab);
+    finds = by_delta (fun (p, _, _) -> 2 + Pred.size p) facts.Facts.find_insts;
+    filters = by_delta (fun (p, _) -> 1 + Pred.size p) facts.Facts.filter_insts;
+  }
 
-(* All single-step instantiations of a hole whose goal is [goal]
-   (the Expand rule of Fig. 11).  The pipeline's instantiation-time hooks
-   filter parameterizations that cannot satisfy the hole's goal. *)
-let instantiations u vocab facts config (ctx : Prune.context) passes goal =
-  let child op =
-    Partial.hole (if ctx.Prune.goal_checks then Goal.infer u op goal else Goal.trivial u)
-  in
+(* The single-step instantiations of a hole whose goal is [goal] (the
+   Expand rule of Fig. 11) whose size increment is [delta], in a fixed
+   order: All, Is, Complement, the [delta]-ary Union and Intersect, Find,
+   Filter.  [child_goal] annotates the new holes; [feasible] is the
+   pipeline's instantiation-time filter of Find/Filter parameterizations
+   that cannot satisfy the hole's goal. *)
+let instantiations tiers ~max_operands ~child_goal ~feasible ~delta goal =
   let mk node = Partial.make goal node in
-  let preds = Vocab.predicates vocab in
-  let feasible reach =
-    List.for_all (fun (p : Prune.pass) -> p.Prune.feasible ctx ~goal ~reach) passes
+  let child op = Partial.hole (child_goal op goal) in
+  let leaves =
+    (if delta = 0 then [ mk Partial.All ] else [])
+    @ List.map (fun p -> mk (Partial.Is p)) tiers.is_preds.(delta)
   in
-  let leaves = mk Partial.All :: List.map (fun p -> mk (Partial.Is p)) preds in
-  let complement = [ mk (Partial.Complement (child Goal.For_complement)) ] in
-  let holes_for op k = List.init k (fun _ -> child op) in
-  let rec arities k acc = if k < 2 then acc else arities (k - 1) (k :: acc) in
-  let ks = arities config.max_operands [] in
-  let unions = List.map (fun k -> mk (Partial.Union (holes_for Goal.For_union k))) ks in
-  let intersects =
-    List.map (fun k -> mk (Partial.Intersect (holes_for Goal.For_intersect k))) ks
+  let complement =
+    if delta = 1 then [ mk (Partial.Complement (child Goal.For_complement)) ] else []
+  in
+  let nary =
+    if delta >= 2 && delta <= max_operands then
+      [
+        mk (Partial.Union (List.init delta (fun _ -> child Goal.For_union)));
+        mk (Partial.Intersect (List.init delta (fun _ -> child Goal.For_intersect)));
+      ]
+    else []
   in
   let finds =
     List.filter_map
       (fun (p, f, reach) ->
-        if feasible reach then Some (mk (Partial.Find (child Goal.For_find, p, f)))
+        if feasible goal reach then Some (mk (Partial.Find (child Goal.For_find, p, f)))
         else None)
-      facts.find_insts
+      tiers.finds.(delta)
   in
   let filters =
     List.filter_map
       (fun (p, reach) ->
-        if feasible reach then Some (mk (Partial.Filter (child Goal.For_filter, p)))
+        if feasible goal reach then Some (mk (Partial.Filter (child Goal.For_filter, p)))
         else None)
-      facts.filter_insts
+      tiers.filters.(delta)
   in
-  leaves @ complement @ unions @ intersects @ finds @ filters
+  leaves @ complement @ nary @ finds @ filters
 
-(* Replace the leftmost hole of [p] with each instantiation whose size
-   increment is [delta]; None when [p] is complete. *)
-let min_delta = 0
-
-let max_delta = 4 (* largest instantiation is Find with a parameterized predicate *)
-
-let expand u vocab facts config ctx passes ~delta root =
+(* Replace the leftmost hole of [root] with each instantiation whose size
+   increment is [delta]; None when [root] is complete. *)
+let expand instantiate ~delta root =
   (* A hole's goal may have been tightened by the forward-backward
      analysis when this candidate (or an ancestor candidate sharing the
      hole node) was considered; the per-hole map is cached on the
@@ -240,10 +193,7 @@ let expand u vocab facts config ctx passes ~delta root =
         let goal =
           match Partial.tight_for root ~hole:p with Some g -> g | None -> p.goal
         in
-        Some
-          (List.filter
-             (fun inst -> Partial.size inst - 1 = delta)
-             (instantiations u vocab facts config ctx passes goal))
+        Some (instantiate ~delta goal)
     | Partial.All | Partial.Is _ -> None
     (* Spine nodes above the hole are rebuilt fresh (empty memo slot);
        unchanged sibling subtrees are shared physically, which is what
@@ -317,7 +267,7 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
      input image, so it belongs to the partial-evaluation-powered part of
      equivalence reduction and is disabled with either ablation. *)
   let facts =
-    compute_facts ~dedup:(config.equiv_reduction && config.partial_eval) u vocab
+    Facts.compute ~dedup:(config.equiv_reduction && config.partial_eval) u vocab
   in
   let absint =
     if Prune.wants_absint passes then begin
@@ -327,9 +277,9 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
          sound and uninformative. *)
       let find_tbl = Hashtbl.create 64 and filter_tbl = Hashtbl.create 64 in
       List.iter (fun (p, f, reach) -> Hashtbl.replace find_tbl (p, f) reach)
-        facts.find_insts;
+        facts.Facts.find_insts;
       List.iter (fun (p, reach) -> Hashtbl.replace filter_tbl p reach)
-        facts.filter_insts;
+        facts.Facts.filter_insts;
       let full = Simage.full u in
       Some
         (Absint.make_env u ~per_image:config.absint_per_image
@@ -345,11 +295,25 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
   let ctx =
     {
       Prune.u;
-      eval_is = facts.extension;
+      eval_is = facts.Facts.extension;
       goal_checks = Prune.wants_goal_checks passes;
       collapse = Prune.wants_collapse passes;
       absint;
     }
+  in
+  let instantiate =
+    let tiers = tiers_of vocab facts in
+    let child_goal =
+      let empty = Simage.empty u and full = Simage.full u in
+      if ctx.Prune.goal_checks then Goal.infer_within ~empty ~full
+      else
+        let trivial = Goal.make ~under:empty ~over:full in
+        fun _ _ -> trivial
+    in
+    let feasible goal reach =
+      List.for_all (fun (p : Prune.pass) -> p.Prune.feasible ctx ~goal ~reach) passes
+    in
+    instantiations tiers ~max_operands:config.max_operands ~child_goal ~feasible
   in
   let checks = List.map (fun (p : Prune.pass) -> (p, p.Prune.fresh ())) passes in
   let cache = if config.eval_cache then Some (Peval.Cache.create ()) else None in
@@ -424,7 +388,7 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
       min_delta;
       max_delta;
       max_size = config.max_size;
-      expand = (fun p ~delta -> expand u vocab facts config ctx passes ~delta p);
+      expand = (fun p ~delta -> expand instantiate ~delta p);
       consider;
     }
   in

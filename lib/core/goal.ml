@@ -13,15 +13,14 @@ let consistent img g = Simage.subset g.under img && Simage.subset img g.over
 
 type operator = For_union | For_intersect | For_complement | For_find | For_filter
 
-let infer u op g =
-  let input = Simage.full u in
-  let empty = Simage.empty u in
+let infer_within ~empty ~full op g =
   match op with
   | For_union -> { under = empty; over = g.over }
-  | For_intersect -> { under = g.under; over = input }
-  | For_complement ->
-      { under = Simage.diff input g.over; over = Simage.diff input g.under }
-  | For_find | For_filter -> { under = empty; over = input }
+  | For_intersect -> { under = g.under; over = full }
+  | For_complement -> { under = Simage.diff full g.over; over = Simage.diff full g.under }
+  | For_find | For_filter -> { under = empty; over = full }
+
+let infer u op g = infer_within ~empty:(Simage.empty u) ~full:(Simage.full u) op g
 
 let equal a b = Simage.equal a.under b.under && Simage.equal a.over b.over
 

@@ -31,5 +31,15 @@ val infer : Imageeye_symbolic.Universe.t -> operator -> t -> t
     own goal is φ.  [Universe] supplies Î_in for the complement and
     intersect rules. *)
 
+val infer_within :
+  empty:Imageeye_symbolic.Simage.t ->
+  full:Imageeye_symbolic.Simage.t ->
+  operator ->
+  t ->
+  t
+(** [infer] given the universe's empty image and Î_in, for callers that
+    infer many goals over one universe and hold both already (each is an
+    intern-table lookup to build). *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -83,7 +83,7 @@ let run ?eval_is ?cache ~check_goals ~collapse u (p : Partial.t) =
         tick ();
         complete Form.All (Simage.full u)
     | Partial.Is phi ->
-        (* [eval_is] is already table-backed by the engine (compute_facts),
+        (* [eval_is] is already table-backed by the engine (Facts.compute),
            so an extra form-keyed layer would only duplicate it. *)
         tick ();
         complete (Form.Is phi) (eval_is phi)

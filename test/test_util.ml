@@ -172,6 +172,25 @@ let test_bitset_choose () =
   Alcotest.(check (option int)) "smallest" (Some 2)
     (Bitset.choose_opt (Bitset.of_list 5 [ 4; 2; 3 ]))
 
+(* The hash reads every word: sets over a 1000-object universe that differ
+   only at object 700 (word 11) hash apart, and sets of at most 10 words
+   keep the value [Hashtbl.hash] gave their word array, so intern tables
+   over search-sized universes lay out as before. *)
+let test_bitset_hash_every_word () =
+  let a = Bitset.of_list 1000 [ 1 ] and b = Bitset.of_list 1000 [ 1; 700 ] in
+  Alcotest.(check bool) "differ past word 10" true (Bitset.hash a <> Bitset.hash b);
+  List.iter
+    (fun (n, xs, h) ->
+      Alcotest.(check int) (Printf.sprintf "%d-object set" n) h (Bitset.hash (Bitset.of_list n xs)))
+    [
+      (0, [], 554989322);
+      (5, [ 0; 4 ], 351476946);
+      (63, [ 62 ], 546228405);
+      (130, [ 0; 5; 64; 129 ], 86032300);
+      (630, [ 1; 300; 629 ], 753979914);
+      (630, [], 16355250);
+    ]
+
 (* qcheck properties over bitsets *)
 
 let bitset_gen n =
@@ -204,6 +223,31 @@ let qcheck_props =
     QCheck2.Test.make ~name:"disjoint = empty inter" ~count:200 pair (fun (a, b) ->
         Bitset.disjoint a b = Bitset.is_empty (Bitset.inter a b));
   ]
+
+(* The masked helpers against their allocating definitions, at universe
+   sizes on either side of the 63-bit word boundaries.  [b] is widened by
+   [a ∩ m] half the time so [subset_on] is exercised on both outcomes. *)
+let masked_props =
+  List.concat_map
+    (fun n ->
+      let gen = bitset_gen n in
+      let triple = QCheck2.Gen.(triple gen gen (pair gen bool)) in
+      let name what = Printf.sprintf "%s (n=%d)" what n in
+      [
+        QCheck2.Test.make ~name:(name "cardinal_inter = cardinal inter") ~count:100
+          (QCheck2.Gen.pair gen gen) (fun (a, m) ->
+            Bitset.cardinal_inter a m = Bitset.cardinal (Bitset.inter a m));
+        QCheck2.Test.make ~name:(name "subset_on = subset inter") ~count:100 triple
+          (fun (a, m, (b, widen)) ->
+            let b = if widen then Bitset.union b (Bitset.inter a m) else b in
+            Bitset.subset_on m a b = Bitset.subset (Bitset.inter a m) b);
+        QCheck2.Test.make ~name:(name "splice = inside on mask, outside elsewhere")
+          ~count:100 triple (fun (outside, m, (inside, _)) ->
+            Bitset.equal
+              (Bitset.splice m ~inside ~outside)
+              (Bitset.union (Bitset.inter inside m) (Bitset.diff outside m)));
+      ])
+    [ 62; 63; 64; 126; 127 ]
 
 (* ---------- Pqueue ---------- *)
 
@@ -328,8 +372,9 @@ let () =
           Alcotest.test_case "complement involution" `Quick test_bitset_complement_involution;
           Alcotest.test_case "disjoint" `Quick test_bitset_disjoint;
           Alcotest.test_case "choose" `Quick test_bitset_choose;
+          Alcotest.test_case "hash reads every word" `Quick test_bitset_hash_every_word;
         ]
-        @ List.map QCheck_alcotest.to_alcotest qcheck_props );
+        @ List.map QCheck_alcotest.to_alcotest (qcheck_props @ masked_props) );
       ( "pqueue",
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;
