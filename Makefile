@@ -6,9 +6,9 @@ BENCH_JSON ?= BENCH_PR9.json
 
 # CI gates stamped into $(BENCH_JSON): the quick-mode solved floor and
 # the quick-mode total-nodes ceiling (see .github/workflows/check.yml).
-# A quick sweep solves 47/50 at ~5M nodes locally with the product
-# domain on; the two timeout-bound tasks scale with machine speed, so
-# the ceiling leaves ~3x headroom.
+# A quick sweep solves 48/50 at ~8.2M nodes locally; the two
+# timeout-bound tasks scale with machine speed, so the ceiling leaves
+# ~2x headroom.
 CI_MIN_SOLVED ?= 45
 CI_MAX_NODES ?= 16000000
 
@@ -31,14 +31,14 @@ smoke: build
 	  --timeout 30 --jobs $(JOBS)
 	./_build/default/bin/imageeye.exe show 99; test $$? -eq 2
 
-# The product-domain ablation rows end to end through the CLI: each
-# refinement disabled alone must still solve the smoke tasks, and an
-# unknown ablation name must list the table and exit non-zero.
+# An ablation row end to end through the CLI: with the fwd-bwd analysis
+# off the smoke tasks must still solve and the JSON must record the
+# config the sweep actually ran ("fwd_bwd": false); an unknown ablation
+# name must list the table and exit non-zero.
 ablation-smoke: build
 	./_build/default/bin/imageeye.exe sweep --tasks 1,17,30 --images 8 \
-	  --timeout 30 --jobs $(JOBS) --ablation no-per-image
-	./_build/default/bin/imageeye.exe sweep --tasks 1,17,30 --images 8 \
-	  --timeout 30 --jobs $(JOBS) --ablation no-cardinality
+	  --timeout 30 --jobs $(JOBS) --ablation no-fwd-bwd --json _build/ablation-smoke.json
+	test "$$(jq .fwd_bwd _build/ablation-smoke.json)" = false
 	! ./_build/default/bin/imageeye.exe sweep --tasks 1 --ablation bogus
 
 # Cost-directed optimal search end to end through the CLI: the three

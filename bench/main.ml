@@ -29,11 +29,6 @@
      IMAGEEYE_FWD_BWD=0         disable bidirectional abstract
                                 interpretation in every non-ablation
                                 config (the BENCH_PR6.json baseline)
-     IMAGEEYE_PER_IMAGE=0       disable per-image interval planes in the
-                                fwd-bwd analysis
-     IMAGEEYE_CARDINALITY=0     disable cardinality bounds in the
-                                fwd-bwd analysis (both knobs off is the
-                                BENCH_PR8.json baseline)
      IMAGEEYE_OPTIMAL=1         cost-directed optimal synthesis in every
                                 non-ablation config: return the
                                 minimal-cost consistent program instead
@@ -107,20 +102,11 @@ let timeout = env_float "IMAGEEYE_TIMEOUT" (if quick then 20.0 else 120.0)
 let eus_timeout = env_float "IMAGEEYE_EUS_TIMEOUT" (if quick then 10.0 else 30.0)
 let abl_timeout = env_float "IMAGEEYE_ABL_TIMEOUT" (if quick then 5.0 else 10.0)
 let fwd_bwd = env_bool "IMAGEEYE_FWD_BWD" true
-let per_image = env_bool "IMAGEEYE_PER_IMAGE" true
-let cardinality = env_bool "IMAGEEYE_CARDINALITY" true
 let optimal = env_bool "IMAGEEYE_OPTIMAL" false
 
 (* Every non-ablation section starts from this, so a single env knob gives
-   the before/after pair for the committed BENCH_PR6.json / BENCH_PR8.json. *)
-let base_config =
-  {
-    Synthesizer.default_config with
-    fwd_bwd;
-    absint_per_image = per_image;
-    absint_cardinality = cardinality;
-    optimality = optimal;
-  }
+   the before/after pair for the committed BENCH_PR6.json. *)
+let base_config = { Synthesizer.default_config with fwd_bwd; optimality = optimal }
 
 let dataset_size domain =
   if quick then
@@ -415,10 +401,8 @@ let fig15 () =
    Beyond the three paper ablations, the table carries: no-fwd-bwd
    (bidirectional abstract interpretation; solution-preserving, so the
    solved set must match [full] and the separation is in nodes),
-   no-eval-cache (the memoized incremental evaluator; semantics-
-   preserving), and no-per-image / no-cardinality (the two
-   product-domain refinements of the fwd-bwd analysis; both
-   solution-preserving).
+   and no-eval-cache (the memoized incremental evaluator; semantics-
+   preserving).
 
    IMAGEEYE_ABLATION=<name> restricts fig16 to one named row (CI runs a
    few rows without paying for the whole table); an unknown name lists
@@ -772,8 +756,6 @@ let json_meta () =
     ("jobs", Int jobs);
     ("timeout_s", Float timeout);
     ("fwd_bwd", Bool fwd_bwd);
-    ("per_image", Bool per_image);
-    ("cardinality", Bool cardinality);
     ("optimal", Bool optimal);
   ]
   @ (match !stream_result with

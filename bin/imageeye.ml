@@ -185,8 +185,8 @@ let learn_cmd =
 
 (* ---------- sweep ---------- *)
 
-let sweep task_ids images seed timeout jobs fwd_bwd optimal frontier
-    ablation json_path min_solved max_mean_size =
+let sweep task_ids images seed timeout jobs optimal frontier ablation json_path
+    min_solved max_mean_size =
   let ablation_tweak =
     match ablation with
     | None -> Fun.id
@@ -220,7 +220,6 @@ let sweep task_ids images seed timeout jobs fwd_bwd optimal frontier
       {
         Synthesizer.default_config with
         timeout_s = timeout;
-        fwd_bwd;
         optimality = optimal;
         optimal_frontier =
           Option.value frontier
@@ -315,7 +314,7 @@ let sweep task_ids images seed timeout jobs fwd_bwd optimal frontier
             ("seed", Int seed);
             ("jobs", Int jobs);
             ("timeout_s", Float timeout);
-            ("fwd_bwd", Bool fwd_bwd);
+            ("fwd_bwd", Bool config.Synthesizer.fwd_bwd);
             ("optimal", Bool config.Synthesizer.optimality);
             ("ablation", match ablation with Some a -> Str a | None -> Str "none");
           ]
@@ -357,12 +356,6 @@ let sweep_cmd =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains to run tasks on in parallel (1 = sequential; size to the              available cores).")
   in
-  let fwd_bwd =
-    Term.(
-      const not
-      $ Arg.(value & flag & info [ "no-fwd-bwd" ]
-               ~doc:"Disable bidirectional abstract interpretation (iterated              forward-backward goal tightening)."))
-  in
   let optimal =
     Arg.(value & flag & info [ "optimal" ]
            ~doc:"Cost-directed optimal synthesis: keep searching past the first              consistent program under an incumbent cost bound and return the              minimal consistent extractor (size, noise sensitivity, lattice              depth, generality).  Same solved set, smaller/more-general              programs, more nodes.")
@@ -373,7 +366,10 @@ let sweep_cmd =
   in
   let ablation =
     Arg.(value & opt (some string) None & info [ "ablation" ] ~docv:"NAME"
-           ~doc:"Apply a named ablation row from the shared fig16 table (full,              no-goal-inference, no-partial-eval, no-equiv-reduction, no-fwd-bwd,              no-per-image, no-cardinality, no-eval-cache, optimal)              on top of the other flags.  Unknown names list the table              and exit 2.")
+           ~doc:
+             ("Apply a named ablation row from the shared fig16 table ("
+             ^ String.concat ", " (List.map fst Synthesizer.ablations)
+             ^ ") on top of the other flags.  Unknown names list the table and exit 2."))
   in
   let json_path =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
@@ -390,7 +386,7 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Run the demonstration loop over many benchmark tasks and summarize, optionally              on a parallel Domain pool.")
-    Term.(const sweep $ task_ids $ images $ seed_arg $ timeout $ jobs $ fwd_bwd $ optimal $ frontier $ ablation $ json_path $ min_solved $ max_mean_size)
+    Term.(const sweep $ task_ids $ images $ seed_arg $ timeout $ jobs $ optimal $ frontier $ ablation $ json_path $ min_solved $ max_mean_size)
 
 (* ---------- apply ---------- *)
 

@@ -7,8 +7,6 @@ type config = {
   partial_eval : bool;
   equiv_reduction : bool;
   fwd_bwd : bool;
-  absint_per_image : bool;
-  absint_cardinality : bool;
   eval_cache : bool;
   optimality : bool;
   optimal_frontier : int;
@@ -25,8 +23,6 @@ let default_config =
     partial_eval = true;
     equiv_reduction = true;
     fwd_bwd = true;
-    absint_per_image = true;
-    absint_cardinality = true;
     eval_cache = true;
     optimality = false;
     optimal_frontier = 200_000;
@@ -56,8 +52,6 @@ let ablations : (string * (config -> config)) list =
     ("no-partial-eval", fun c -> { c with partial_eval = false });
     ("no-equiv-reduction", fun c -> { c with equiv_reduction = false });
     ("no-fwd-bwd", fun c -> { c with fwd_bwd = false });
-    ("no-per-image", fun c -> { c with absint_per_image = false });
-    ("no-cardinality", fun c -> { c with absint_cardinality = false });
     ("no-eval-cache", fun c -> { c with eval_cache = false });
     (* The one row that *adds* a technique instead of removing one:
        cost-directed optimal search (Optimal) on top of the full
@@ -260,7 +254,7 @@ let stats_of_events ev ~nodes =
     prune_counts = Events.counts ev;
   }
 
-let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
+let search ~config ~limit ?hooks ?sink u i_out =
   let vocab = Bank_registry.vocab u ~age_thresholds:config.age_thresholds in
   let passes = Prune.pipeline (spec_of_config config) in
   (* The Find/Filter signature dedup evaluates parameterizations on the
@@ -282,9 +276,7 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
         facts.Facts.filter_insts;
       let full = Simage.full u in
       Some
-        (Absint.make_env u ~per_image:config.absint_per_image
-           ~cardinality:config.absint_cardinality
-           ?demo_images
+        (Absint.make_env u
            ~reach_find:(fun p f ->
              Option.value (Hashtbl.find_opt find_tbl (p, f)) ~default:full)
            ~reach_filter:(fun p ->
@@ -435,7 +427,6 @@ let search ~config ~limit ?hooks ?sink ?demo_images u i_out =
           ("iterations", env.Absint.iterations);
           ("tightened", env.Absint.tightened);
           ("cap-hit", env.Absint.cap_hits);
-          ("card-kill", env.Absint.card_kills);
         ]
   | None -> ());
   (List.rev !solutions, reason,

@@ -26,14 +26,6 @@ type config = {
           and tightening every hole's goal for the next expansion; only
           effective when [goal_inference] and [partial_eval] are both on
           (it consumes their goal annotations and collapsed constants) *)
-  absint_per_image : bool;
-      (** refine the fwd-bwd analysis per demo image (one interval plane
-          per image, met independently); no effect when [fwd_bwd] is off
-          or the universe holds a single image *)
-  absint_cardinality : bool;
-      (** track per-plane cardinality bounds [⟨|e|min, |e|max⟩] in the
-          fwd-bwd analysis, killing candidates on counting arguments the
-          bitset domain cannot express; no effect when [fwd_bwd] is off *)
   eval_cache : bool;
       (** memoized incremental partial evaluation (on by default): node
           memo slots plus a shared form-keyed value table; does not change
@@ -129,7 +121,6 @@ val search :
   limit:int ->
   ?hooks:hooks ->
   ?sink:(Imageeye_engine.Events.event -> unit) ->
-  ?demo_images:int list ->
   Imageeye_symbolic.Universe.t ->
   Imageeye_symbolic.Simage.t ->
   Lang.extractor list * [ `Found_enough | `Timeout | `Exhausted ] * stats
@@ -137,8 +128,4 @@ val search :
     solutions, in size-then-depth order — the search simply continues
     past the first success, which is what powers program disambiguation
     and active learning.  [sink] observes the raw event stream.  With
-    [hooks], solution-count termination is delegated to the hooks.
-    [demo_images]
-    (the spec's demonstrated raw-image ids) lets the fwd-bwd analysis
-    keep per-image planes on universes beyond {!Absint.max_planes}
-    images — see {!Absint.make_env}. *)
+    [hooks], solution-count termination is delegated to the hooks. *)

@@ -31,7 +31,7 @@ type result = {
 
 let default_frontier = Engine_search.default_config.Engine_search.optimal_frontier
 
-let search ~config ?frontier ?sink ?demo_images u i_out =
+let search ~config ?frontier ?sink u i_out =
   let frontier =
     Option.value frontier ~default:config.Engine_search.optimal_frontier
   in
@@ -69,6 +69,6 @@ let search ~config ?frontier ?sink ?demo_images u i_out =
   let hooks = { Engine_search.admit; on_solution; should_stop } in
   (* With hooks installed, termination is the hooks' job, not [limit]'s. *)
   let enumerated, reason, stats =
-    Engine_search.search ~config ~limit:1 ~hooks ?sink ?demo_images u i_out
+    Engine_search.search ~config ~limit:1 ~hooks ?sink u i_out
   in
   { best = !incumbent; first = !first; enumerated; reason; stats }

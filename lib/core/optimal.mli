@@ -14,8 +14,8 @@
     - afterwards, a freshly generated candidate is admitted only if its
       admissible lower bound ({!Cost.lower_bound}) is strictly below
       the incumbent's cost.  The existing prune passes (goal inference,
-      partial evaluation, equivalence reduction, the fwd-bwd product
-      domain) stay on and are solution-preserving, so a candidate is
+      partial evaluation, equivalence reduction, the fwd-bwd
+      analysis) stay on and are solution-preserving, so a candidate is
       skipped only when no completion can both satisfy the spec and
       beat the incumbent;
     - the search ends when the worklist drains within the cost bound,
@@ -52,7 +52,6 @@ val search :
   config:Engine_search.config ->
   ?frontier:int ->
   ?sink:(Imageeye_engine.Events.event -> unit) ->
-  ?demo_images:int list ->
   Imageeye_symbolic.Universe.t ->
   Imageeye_symbolic.Simage.t ->
   result

@@ -9,8 +9,6 @@ type config = Engine_search.config = {
   partial_eval : bool;
   equiv_reduction : bool;
   fwd_bwd : bool;
-  absint_per_image : bool;
-  absint_cardinality : bool;
   eval_cache : bool;
   optimality : bool;
   optimal_frontier : int;
@@ -51,9 +49,9 @@ let map_outcome f = function
    with an incumbent in hand still succeeds with it, so the optimal mode
    never solves fewer tasks than first-consistent mode under the same
    budget. *)
-let search_one ~config ?demo_images u i_out =
+let search_one ~config u i_out =
   if config.optimality then
-    let r = Optimal.search ~config ?demo_images u i_out in
+    let r = Optimal.search ~config u i_out in
     match r.Optimal.best with
     | Some (e, _cost) ->
         Success ((e, r.Optimal.enumerated), r.Optimal.stats)
@@ -62,22 +60,20 @@ let search_one ~config ?demo_images u i_out =
         | `Timeout -> Timeout r.Optimal.stats
         | `Exhausted | `Found_enough -> Exhausted r.Optimal.stats)
   else
-    match Engine_search.search ~config ~limit:1 ?demo_images u i_out with
+    match Engine_search.search ~config ~limit:1 u i_out with
     | e :: _, _, st -> Success ((e, [ e ]), st)
     | [], `Timeout, st -> Timeout st
     | [], (`Exhausted | `Found_enough), st -> Exhausted st
 
-let synthesize_extractor ?(config = default_config) ?demo_images u i_out =
-  map_outcome fst (search_one ~config ?demo_images u i_out)
+let synthesize_extractor ?(config = default_config) u i_out =
+  map_outcome fst (search_one ~config u i_out)
 
 (* Up to [count] observationally distinct-by-syntax solutions, in the
    worklist's size-then-depth order (the first is the one
    {!synthesize_extractor} returns).  Returns however many were found when
    the budget runs out. *)
-let synthesize_extractors ?(config = default_config) ?demo_images ~count u i_out =
-  let solutions, _, st =
-    Engine_search.search ~config ~limit:(max 1 count) ?demo_images u i_out
-  in
+let synthesize_extractors ?(config = default_config) ~count u i_out =
+  let solutions, _, st = Engine_search.search ~config ~limit:(max 1 count) u i_out in
   (solutions, st)
 
 (* Fig. 8's per-action decomposition, the one fold every spec-level entry
@@ -90,11 +86,9 @@ let synthesize_extractors ?(config = default_config) ?demo_images ~count u i_out
    is lazy: actions after the first failure are never searched. *)
 let per_action ~config ?pool (spec : Edit.Spec.t) pick =
   let u = spec.universe in
-  let demo_images = List.map fst spec.demos in
   let actions = Edit.Spec.demonstrated_actions spec in
   let solve action =
-    map_outcome (pick action)
-      (search_one ~config ~demo_images u (Edit.Spec.output_for_action spec action))
+    map_outcome (pick action) (search_one ~config u (Edit.Spec.output_for_action spec action))
   in
   let rec fold acc stats_acc seq =
     match seq () with

@@ -27,12 +27,6 @@ type config = Engine_search.config = {
           propagation on every incomplete candidate; solution-preserving
           (it only discards candidates no completion of which can satisfy
           the goal annotations), on by default *)
-  absint_per_image : bool;
-      (** per-demo-image interval planes in the fwd-bwd analysis (see
-          {!Engine_search.config}); solution-preserving, on by default *)
-  absint_cardinality : bool;
-      (** per-plane cardinality bounds in the fwd-bwd analysis (see
-          {!Engine_search.config}); solution-preserving, on by default *)
   eval_cache : bool;
       (** memoized incremental partial evaluation (see
           {!Engine_search.config}); semantics-preserving, on by default *)
@@ -88,20 +82,14 @@ type 'a outcome =
 
 val synthesize_extractor :
   ?config:config ->
-  ?demo_images:int list ->
   Imageeye_symbolic.Universe.t ->
   Imageeye_symbolic.Simage.t ->
   Lang.extractor outcome
 (** [synthesize_extractor u i_out] searches for an extractor [e] with
-    ⟦e⟧(Î_in) = [i_out], where Î_in is the full universe [u].
-    [demo_images] (the demonstrated raw-image ids, when the search comes
-    from a spec) keeps per-image abstract-interpretation planes alive on
-    universes beyond {!Absint.max_planes} images — the spec-level entry
-    points below pass it automatically. *)
+    ⟦e⟧(Î_in) = [i_out], where Î_in is the full universe [u]. *)
 
 val synthesize_extractors :
   ?config:config ->
-  ?demo_images:int list ->
   count:int ->
   Imageeye_symbolic.Universe.t ->
   Imageeye_symbolic.Simage.t ->

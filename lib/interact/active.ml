@@ -44,14 +44,13 @@ let suggest u ~exclude candidates =
    alternatives vary the extractor of each action independently. *)
 let candidate_programs ~config ~count (spec : Edit.Spec.t) =
   let u = spec.universe in
-  let demo_images = List.map fst spec.demos in
   let actions = Edit.Spec.demonstrated_actions spec in
   let per_action =
     List.map
       (fun action ->
         let i_out = Edit.Spec.output_for_action spec action in
         let extractors, stats =
-          Synthesizer.synthesize_extractors ~config ~demo_images ~count u i_out
+          Synthesizer.synthesize_extractors ~config ~count u i_out
         in
         (action, extractors, stats))
       actions

@@ -94,37 +94,6 @@ let union a b = map2 ( lor ) a b
 let inter a b = map2 ( land ) a b
 let diff a b = map2 (fun x y -> x land lnot y) a b
 
-(* The masked forms below read the operands word by word and allocate
-   nothing but their result, where the equivalent compositions of [inter],
-   [diff] and [union] would build one intermediate set per step. *)
-
-let cardinal_inter a m =
-  check_same a m;
-  let acc = ref 0 in
-  for i = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount (a.words.(i) land m.words.(i))
-  done;
-  !acc
-
-let subset_on m a b =
-  check_same a m;
-  check_same a b;
-  let n = Array.length a.words in
-  let rec go i =
-    i >= n || (a.words.(i) land m.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-  in
-  go 0
-
-let splice m ~inside ~outside =
-  check_same m inside;
-  check_same m outside;
-  let words =
-    Array.mapi
-      (fun i w -> (inside.words.(i) land w) lor (outside.words.(i) land lnot w))
-      m.words
-  in
-  { size = m.size; words }
-
 let complement t =
   let words = Array.map lnot t.words in
   let r = { size = t.size; words } in

@@ -47,19 +47,6 @@ val disjoint : t -> t -> bool
 (** [disjoint a b] is [true] iff [a] and [b] share no element: a word-level
     AND-test, equivalent to [is_empty (inter a b)] but allocation-free. *)
 
-val cardinal_inter : t -> t -> int
-(** [cardinal_inter a m] is [cardinal (inter a m)], without building the
-    intersection. *)
-
-val subset_on : t -> t -> t -> bool
-(** [subset_on m a b] is [subset (inter a m) b]: every element of [a]
-    inside the mask [m] is in [b].  Allocation-free. *)
-
-val splice : t -> inside:t -> outside:t -> t
-(** [splice m ~inside ~outside] is [inside] on the mask [m] and [outside]
-    elsewhere, i.e. [union (inter inside m) (diff outside m)], built in one
-    pass. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

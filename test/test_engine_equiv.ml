@@ -109,20 +109,14 @@ let map_stats f = function
 
 (* Fig. 8 rebuilt directly on the layered engine, bypassing the
    Synthesizer wrappers: one Engine_search.search per demonstrated
-   action, folded in action order.  The wrapper threads the spec's
-   demonstrated image ids into the abstract domain (so universes past
-   [Absint.max_planes] get per-demo planes instead of the single-plane
-   fallback); the hand-built composition must thread the same ids or
-   the two diverge on fallback-sized datasets. *)
+   action, folded in action order. *)
 let engine_synthesize spec =
   let u = spec.Edit.Spec.universe in
-  let demo_images = List.map fst spec.Edit.Spec.demos in
   let rec go acc stats_acc = function
     | [] -> Synthesizer.Success (List.rev acc, stats_acc)
     | action :: rest -> (
         match
-          Engine_search.search ~config ~limit:1 ~demo_images u
-            (Edit.Spec.output_for_action spec action)
+          Engine_search.search ~config ~limit:1 u (Edit.Spec.output_for_action spec action)
         with
         | e :: _, _, st ->
             go ((e, action) :: acc) (Synthesizer.add_stats stats_acc st) rest
@@ -187,7 +181,7 @@ let check_task ~pool task =
       let no_fb =
         Synthesizer.synthesize ~config:{ config with Synthesizer.fwd_bwd = false } spec
       in
-      (match (wrapper, no_fb) with
+      match (wrapper, no_fb) with
       | Synthesizer.Success (p, s_on), Synthesizer.Success (q, s_off) ->
           Alcotest.(check string)
             (Printf.sprintf "task %d: fwd-bwd on/off programs identical" task.Task.id)
@@ -203,36 +197,7 @@ let check_task ~pool task =
             true
             (s_on.Synthesizer.popped <= s_off.Synthesizer.popped)
       | Synthesizer.Exhausted _, Synthesizer.Exhausted _ -> ()
-      | _ ->
-          Alcotest.failf "task %d: fwd-bwd changed solvability" task.Task.id);
-      (* The per-image and cardinality refinements of the product domain
-         are each solution-preserving for the same reason: they only add
-         sound kills and sound hole tightenings on top of the global
-         interval fixpoint.  Each one off must reproduce the byte-identical
-         program without ever evaluating fewer nodes than the full domain. *)
-      List.iter
-        (fun (name, off_config) ->
-          let off = Synthesizer.synthesize ~config:off_config spec in
-          match (wrapper, off) with
-          | Synthesizer.Success (p, s_on), Synthesizer.Success (q, s_off) ->
-              Alcotest.(check string)
-                (Printf.sprintf "task %d: %s on/off programs identical" task.Task.id
-                   name)
-                (Lang.program_to_string p) (Lang.program_to_string q);
-              Alcotest.(check bool)
-                (Printf.sprintf "task %d: %s never evaluates more nodes (%d vs %d)"
-                   task.Task.id name s_on.Synthesizer.nodes s_off.Synthesizer.nodes)
-                true
-                (s_on.Synthesizer.nodes <= s_off.Synthesizer.nodes)
-          | Synthesizer.Exhausted _, Synthesizer.Exhausted _ -> ()
-          | _ ->
-              Alcotest.failf "task %d: %s changed solvability" task.Task.id name)
-        [
-          ( "per-image planes",
-            { config with Synthesizer.absint_per_image = false } );
-          ( "cardinality bounds",
-            { config with Synthesizer.absint_cardinality = false } );
-        ]
+      | _ -> Alcotest.failf "task %d: fwd-bwd changed solvability" task.Task.id
 
 let suite_case domain =
   Alcotest.test_case (Dataset.domain_name domain) `Slow (fun () ->
@@ -240,79 +205,6 @@ let suite_case domain =
         | None -> Alcotest.fail "expected a pool"
         | Some pool -> List.iter (check_task ~pool) (Benchmarks.for_domain domain)))
 
-(* Universes beyond [Absint.max_planes] images used to collapse to a
-   single abstract plane, silently giving up per-image pruning exactly
-   where it matters most (paper-sized Wedding/Objects datasets).  They
-   now get one plane per *demonstrated* image plus a residual plane.
-   The planes are a pruning device, never a semantics change: programs
-   must come out identical, with the demo planes pruning at least as
-   hard as the single-plane fallback. *)
-let test_demo_planes () =
-  let module Absint = Imageeye_core.Absint in
-  let dataset = Dataset.generate ~n_images:70 ~seed:5 Dataset.Objects in
-  let u = Batch.universe_of_scenes dataset.scenes in
-  Alcotest.(check bool) "dataset exceeds the plane budget" true
-    (List.length dataset.scenes > Absint.max_planes);
-  (* Plane selection. *)
-  let env0 = Absint.make_env u in
-  Alcotest.(check int) "no demos: single-plane fallback" 1 (Array.length env0.Absint.masks);
-  let env2 = Absint.make_env ~demo_images:[ 3; 41 ] u in
-  Alcotest.(check int) "two demos: two demo planes + residual" 3
-    (Array.length env2.Absint.masks);
-  (* Equivalence on real specs over the full 70-image universe. *)
-  let full_config = { config with Synthesizer.timeout_s = 60.0; max_expansions = 50_000 } in
-  let flat_config = { full_config with Synthesizer.absint_per_image = false } in
-  let checked = ref 0 in
-  List.iter
-    (fun id ->
-      let task = Benchmarks.by_id id in
-      let full_edit = Edit.induced_by_program u task.Task.ground_truth in
-      let demo =
-        List.find_map
-          (fun (s : Imageeye_scene.Scene.t) ->
-            let e = edit_on_image u full_edit s.image_id in
-            if Edit.is_empty e then None else Some (s.image_id, e))
-          dataset.scenes
-      in
-      match demo with
-      | None -> ()
-      | Some (img, e) -> (
-          let spec = Edit.Spec.make u [ (img, e) ] in
-          match (Synthesizer.synthesize ~config:full_config spec,
-                 Synthesizer.synthesize ~config:flat_config spec)
-          with
-          | Synthesizer.Success (p_on, s_on), Synthesizer.Success (p_off, s_off) ->
-              incr checked;
-              Alcotest.(check string)
-                (Printf.sprintf "task %d: program unchanged by demo planes" id)
-                (Lang.program_to_string p_off)
-                (Lang.program_to_string p_on);
-              (* Pruning only ever removes candidates, so the worklist
-                 traffic must not grow.  (Evaluated-node counts are not
-                 monotone here: each extra per-plane hole tightening
-                 re-evaluates the spine above the hole, which can cost
-                 more eval nodes than it saves on an already-fast task.) *)
-              if s_on.Synthesizer.popped > s_off.Synthesizer.popped then
-                Alcotest.failf "task %d: demo planes popped %d > %d without" id
-                  s_on.Synthesizer.popped s_off.Synthesizer.popped;
-              if s_on.Synthesizer.enqueued > s_off.Synthesizer.enqueued then
-                Alcotest.failf "task %d: demo planes enqueued %d > %d without" id
-                  s_on.Synthesizer.enqueued s_off.Synthesizer.enqueued
-          | on, off ->
-              Alcotest.failf "task %d: expected success/success, got %s / %s" id
-                (outcome_sig on) (outcome_sig off)))
-    (* Tasks whose one-demo spec solves quickly over a 70-image universe
-       (others run to the expansion cap regardless of planes). *)
-    [ 31; 33; 34; 38; 42 ];
-  Alcotest.(check bool) "at least one task was checked" true (!checked > 0)
-
 let () =
   Alcotest.run "engine-equivalence"
-    (List.map (fun d -> (Dataset.domain_name d, [ suite_case d ])) Dataset.all_domains
-    @ [
-        ( "demo-planes",
-          [
-            Alcotest.test_case "over-budget universes keep demo planes" `Slow
-              test_demo_planes;
-          ] );
-      ])
+    (List.map (fun d -> (Dataset.domain_name d, [ suite_case d ])) Dataset.all_domains)

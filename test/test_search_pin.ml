@@ -2,15 +2,12 @@
    configurations against each other within one build, so a rewrite of the
    search's hot path that changes what every configuration does in the
    same way passes it.  This suite compares the build against literals:
-   the full statistics of a few expansion-capped searches, as measured
-   before the vocabulary facts, the per-tier instantiation and the
-   whole-universe fwd-bwd intervals were rewritten for speed.  Any change
-   to which candidates the search generates, in which order, or which
-   pass kills them moves at least one counter here.
+   the full statistics of a few expansion-capped searches.  Any change to
+   which candidates the search generates, in which order, or which pass
+   kills them moves at least one counter here.
 
    The cases cover one task per domain, on demo universes of one to five
-   images: multi-image universes give the fwd-bwd analysis one plane per
-   image, which is where its cardinality kills come from. *)
+   images. *)
 
 module Lang = Imageeye_core.Lang
 module Engine_search = Imageeye_core.Engine_search
@@ -32,9 +29,9 @@ let reason_to_string = function
   | `Exhausted -> "exhausted"
 
 (* Everything observable about one search except wall time. *)
-let search_sig ~config u ~demo_images i_out =
+let search_sig ~config u i_out =
   let solutions, reason, (st : Engine_search.stats) =
-    Engine_search.search ~config ~limit:1 ~demo_images u i_out
+    Engine_search.search ~config ~limit:1 u i_out
   in
   Printf.sprintf "%s [%s] nodes=%d popped=%d enqueued=%d {%s}" (reason_to_string reason)
     (String.concat "; " (List.map Lang.extractor_to_string solutions))
@@ -57,7 +54,7 @@ let task_sig ~ablation ~task ~n_images =
   List.map
     (fun action ->
       Lang.action_to_string action ^ ": "
-      ^ search_sig ~config u ~demo_images:[ first ] (Edit.Spec.output_for_action spec action))
+      ^ search_sig ~config u (Edit.Spec.output_for_action spec action))
     (Edit.Spec.demonstrated_actions spec)
 
 let name (task, n_images, ablation) =
@@ -71,44 +68,22 @@ let cases =
     ( (5, 3, "full"),
       [
         "Brighten: found [Find(Find(All, FaceObject, GetRight), FaceObject, GetRight)] \
-         nodes=1713 popped=415 enqueued=552 {\
+         nodes=1713 popped=447 enqueued=584 {\
          equiv-dedup=72, equiv-rewrite=93, eval-cache(evaluated)=1713, \
          eval-cache(memo-hit)=844, eval-cache(value-hit)=219, \
-         eval-cache(value-miss)=259, fwd-bwd=32, fwd-bwd(card-kill)=12, \
-         fwd-bwd(iterations)=905, fwd-bwd(tightened)=206, \
-         goal-inference=1084, partial-eval(const-solved)=1}";
+         eval-cache(value-miss)=259, fwd-bwd(iterations)=768, \
+         fwd-bwd(tightened)=206, goal-inference=1084, \
+         partial-eval(const-solved)=1}";
       ] );
     ( (13, 5, "full"),
       [
-        "Brighten: found [Intersect(Complement(Is(MouthOpen)), Find(Is(EyesOpen), Smiling, GetRight))] \
-         nodes=15041 popped=2876 enqueued=4901 {\
-         equiv-dedup=1622, equiv-rewrite=1310, \
-         eval-cache(evaluated)=15041, eval-cache(memo-hit)=9388, \
-         eval-cache(value-hit)=4782, eval-cache(value-miss)=1964, \
-         fwd-bwd=444, fwd-bwd(card-kill)=104, fwd-bwd(iterations)=8385, \
-         fwd-bwd(tightened)=2258, goal-inference=7372, \
-         partial-eval(const-solved)=1}";
-      ] );
-    ( (13, 5, "no-cardinality"),
-      [
-        "Brighten: found [Intersect(Complement(Is(MouthOpen)), Find(Is(EyesOpen), Smiling, GetRight))] \
-         nodes=15617 popped=2932 enqueued=5069 {\
-         equiv-dedup=1622, equiv-rewrite=1310, \
-         eval-cache(evaluated)=15617, eval-cache(memo-hit)=9392, \
-         eval-cache(value-hit)=5510, eval-cache(value-miss)=2088, \
-         fwd-bwd=340, fwd-bwd(iterations)=7558, fwd-bwd(tightened)=2242, \
-         goal-inference=7760, partial-eval(const-solved)=1}";
-      ] );
-    ( (13, 5, "no-per-image"),
-      [
-        "Brighten: found [Intersect(Complement(Is(MouthOpen)), Find(Is(EyesOpen), Smiling, GetRight))] \
-         nodes=16021 popped=2976 enqueued=5173 {\
-         equiv-dedup=1622, equiv-rewrite=1318, \
-         eval-cache(evaluated)=16021, eval-cache(memo-hit)=9488, \
-         eval-cache(value-hit)=5938, eval-cache(value-miss)=2136, \
-         fwd-bwd=276, fwd-bwd(card-kill)=260, fwd-bwd(iterations)=8687, \
-         fwd-bwd(tightened)=2250, goal-inference=8032, \
-         partial-eval(const-solved)=1}";
+        "Brighten: exhausted [] \
+         nodes=12173 popped=3000 enqueued=4863 {\
+         equiv-dedup=1397, equiv-rewrite=869, \
+         eval-cache(evaluated)=12173, eval-cache(memo-hit)=6811, \
+         eval-cache(value-hit)=4402, eval-cache(value-miss)=1794, \
+         fwd-bwd=16, fwd-bwd(iterations)=6889, fwd-bwd(tightened)=2070, \
+         goal-inference=5869}";
       ] );
     ( (20, 3, "full"),
       [
@@ -116,29 +91,29 @@ let cases =
          nodes=1101 popped=51 enqueued=73 {\
          equiv-dedup=5, equiv-rewrite=17, eval-cache(evaluated)=1101, \
          eval-cache(memo-hit)=168, eval-cache(value-hit)=11, \
-         eval-cache(value-miss)=106, fwd-bwd(iterations)=107, \
+         eval-cache(value-miss)=106, fwd-bwd(iterations)=91, \
          fwd-bwd(tightened)=18, goal-inference=964, \
          partial-eval(const-solved)=1}";
       ] );
     ( (23, 5, "full"),
       [
         "Brighten: found [Find(Find(All, TextObject, GetLeft), TextObject, GetLeft)] \
-         nodes=9386 popped=1910 enqueued=2163 {\
+         nodes=9386 popped=1914 enqueued=2167 {\
          equiv-dedup=227, equiv-rewrite=241, eval-cache(evaluated)=9386, \
          eval-cache(memo-hit)=4634, eval-cache(value-hit)=582, \
-         eval-cache(value-miss)=1102, fwd-bwd=4, fwd-bwd(card-kill)=4, \
-         fwd-bwd(iterations)=3496, fwd-bwd(tightened)=1316, \
-         goal-inference=6555, partial-eval(const-solved)=1}";
+         eval-cache(value-miss)=1102, fwd-bwd(iterations)=3467, \
+         fwd-bwd(tightened)=1316, goal-inference=6555, \
+         partial-eval(const-solved)=1}";
       ] );
     ( (26, 1, "full"),
       [
         "Blackout: found [Complement(Find(Complement(Is(Word(\"thanks\"))), TextObject, GetAbove))] \
-         nodes=12715 popped=2558 enqueued=2586 {\
+         nodes=12715 popped=2566 enqueued=2594 {\
          equiv-dedup=1050, equiv-rewrite=878, eval-cache(evaluated)=12715, \
          eval-cache(memo-hit)=9781, eval-cache(value-hit)=642, \
-         eval-cache(value-miss)=949, fwd-bwd=8, fwd-bwd(card-kill)=8, \
-         fwd-bwd(iterations)=4033, fwd-bwd(tightened)=1638, \
-         goal-inference=8429, partial-eval(const-solved)=1}";
+         eval-cache(value-miss)=949, fwd-bwd(iterations)=4016, \
+         fwd-bwd(tightened)=1638, goal-inference=8429, \
+         partial-eval(const-solved)=1}";
       ] );
     ( (26, 1, "no-equiv-reduction"),
       [
@@ -146,7 +121,7 @@ let cases =
          nodes=9079 popped=3000 enqueued=3013 {\
          eval-cache(evaluated)=9079, eval-cache(memo-hit)=6911, \
          eval-cache(value-hit)=717, eval-cache(value-miss)=714, fwd-bwd=3, \
-         fwd-bwd(iterations)=4149, fwd-bwd(tightened)=2078, \
+         fwd-bwd(iterations)=4139, fwd-bwd(tightened)=2078, \
          goal-inference=6267}";
       ] );
     ( (47, 5, "full"),
@@ -156,18 +131,18 @@ let cases =
          equiv-dedup=4350, equiv-rewrite=2371, \
          eval-cache(evaluated)=16505, eval-cache(memo-hit)=14465, \
          eval-cache(value-hit)=5064, eval-cache(value-miss)=420, \
-         fwd-bwd(iterations)=5581, fwd-bwd(tightened)=2334, \
+         fwd-bwd(iterations)=5569, fwd-bwd(tightened)=2334, \
          goal-inference=5710}";
       ] );
     ( (50, 3, "full"),
       [
         "Brighten: exhausted [] \
-         nodes=16678 popped=3000 enqueued=3892 {\
-         equiv-dedup=4427, equiv-rewrite=2394, \
-         eval-cache(evaluated)=16678, eval-cache(memo-hit)=14237, \
-         eval-cache(value-hit)=5770, eval-cache(value-miss)=340, \
-         fwd-bwd=70, fwd-bwd(iterations)=5682, fwd-bwd(tightened)=2159, \
-         goal-inference=5747}";
+         nodes=16677 popped=3000 enqueued=3905 {\
+         equiv-dedup=4362, equiv-rewrite=2334, \
+         eval-cache(evaluated)=16677, eval-cache(memo-hit)=14013, \
+         eval-cache(value-hit)=6005, eval-cache(value-miss)=346, \
+         fwd-bwd=8, fwd-bwd(iterations)=5440, fwd-bwd(tightened)=2116, \
+         goal-inference=5916}";
       ] );
   ]
 

@@ -227,9 +227,9 @@ let never_prunes_truth_prop =
 
 module Absint = Imageeye_core.Absint
 
-(* Universes whose entities are spread over several images, so the
-   per-image planes of the product domain are actually exercised (the
-   single-image [universe_gen] collapses them to one plane). *)
+(* Universes whose entities are spread over several images, like every
+   demo universe of a spec with more than one demonstration (the
+   single-image [universe_gen] cannot produce one). *)
 let multi_image_universe_gen =
   QCheck2.Gen.(
     let entity =
@@ -247,23 +247,15 @@ let multi_image_universe_gen =
    stand-in here is the exact maximal output: Find/Filter are monotone in
    their input, so applying them to the full universe bounds every
    application. *)
-let absint_env ?per_image ?cardinality u =
-  Absint.make_env ?per_image ?cardinality
+let absint_env u =
+  Absint.make_env
     ~reach_find:(fun p f -> Eval.extractor u (Lang.Find (Lang.All, p, f)))
     ~reach_filter:(fun p -> Eval.extractor u (Lang.Filter (Lang.All, p)))
     u
 
-(* Every point of the product domain must be sound on its own and in
-   combination; each property below is checked at all four corners. *)
-let absint_envs u =
-  List.map
-    (fun (per_image, cardinality) -> absint_env ~per_image ~cardinality u)
-    [ (true, true); (true, false); (false, true); (false, false) ]
-
 (* The fixpoint never kills a partial program on the path to the ground
-   truth, and its work per candidate is bounded by the iteration cap —
-   at every corner of the product domain, on single- and multi-image
-   universes alike. *)
+   truth, and its work per candidate is bounded by the iteration cap, on
+   single- and multi-image universes alike. *)
 let absint_never_kills_truth_prop =
   QCheck2.Test.make ~name:"fwd-bwd fixpoint never rejects the path to the ground truth"
     ~count:200
@@ -287,11 +279,9 @@ let absint_never_kills_truth_prop =
           match Peval.run ~check_goals:true ~collapse:true u p with
           | None -> true (* already rejected upstream of the analysis *)
           | Some form ->
-              List.for_all
-                (fun env ->
-                  Absint.analyze env p form = Absint.Feasible
-                  && env.Absint.iterations <= env.Absint.max_iterations)
-                (absint_envs u))
+              let env = absint_env u in
+              Absint.analyze env p form = Absint.Feasible
+              && env.Absint.iterations <= env.Absint.max_iterations)
         (carve gt goal u))
 
 (* Theorem 5.8 extended to the fixpoint: a candidate it kills has no
@@ -315,16 +305,13 @@ let absint_kill_soundness_prop =
     (fun (u, target, p) ->
       match Peval.run ~check_goals:true ~collapse:true u p with
       | None -> true (* rejected before the analysis: covered by theorem 5.8 *)
-      | Some form ->
-          List.for_all
-            (fun env ->
-              match Absint.analyze env p form with
-              | Absint.Feasible -> true
-              | Absint.Infeasible ->
-                  List.for_all
-                    (fun e -> not (Simage.equal (Eval.extractor u e) target))
-                    (completions p))
-            (absint_envs u))
+      | Some form -> (
+          match Absint.analyze (absint_env u) p form with
+          | Absint.Feasible -> true
+          | Absint.Infeasible ->
+              List.for_all
+                (fun e -> not (Simage.equal (Eval.extractor u e) target))
+                (completions p)))
 
 let () =
   Alcotest.run "soundness"

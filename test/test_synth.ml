@@ -323,181 +323,6 @@ let test_absint_mismatch_admitted () =
   Alcotest.(check bool) "admitted" true (Absint.analyze env root form = Absint.Feasible);
   Alcotest.(check bool) "no tightening" true (Partial.tight root = [])
 
-(* ---------- Absint: cardinality transfer, one test per operator ---------- *)
-
-(* Find yields at most one output per input object, so |out| ≤ |in|: a
-   Find over a singleton cannot cover a 2-object goal even though the
-   (uninformative, full-universe) reach admits it bitset-wise. *)
-let test_absint_card_find_forward () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0; 1 ]) in
-  let sub = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let root = Partial.make top (Partial.Find (sub, Pred.Object "cat", Func.Get_left)) in
-  let form =
-    Form.Find (Form.Const (Simage.of_ids u [ 0 ]), Pred.Object "cat", Func.Get_left)
-  in
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed by |out| <= |in|" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  Alcotest.(check int) "counted as card kill" 1 env.Absint.card_kills;
-  let off = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "bitset domain alone admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* The same counting bound through a *hole* input: the hole's 1-object
-   over-approximation caps the Find's output even though no forward
-   constant exists anywhere in the candidate. *)
-let test_absint_card_find_hole_input () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0; 1 ]) in
-  let h = Partial.hole (Goal.make ~under:(Simage.empty u) ~over:(Simage.of_ids u [ 2 ])) in
-  let root = Partial.make top (Partial.Find (h, Pred.Object "cat", Func.Get_left)) in
-  let form = Form.Find (Form.Hole, Pred.Object "cat", Func.Get_left) in
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed: input capped at 1 object, goal needs 2" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let off = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "bitset domain alone admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* A Union of k children supplies at most Σ |cᵢ|max objects. *)
-let test_absint_card_union_sum () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0; 1; 2 ]) in
-  let child = Goal.infer u Goal.For_union top in
-  let sub () = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let find i =
-    ( Partial.make child (Partial.Find (sub (), Pred.Object "cat", Func.Get_left)),
-      Form.Find (Form.Const (Simage.of_ids u [ i ]), Pred.Object "cat", Func.Get_left) )
-  in
-  let p0, f0 = find 0 and p1, f1 = find 1 in
-  let root = Partial.make top (Partial.Union [ p0; p1 ]) in
-  let form = Form.Union [ f0; f1 ] in
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed: 1 + 1 < 3" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let off = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "bitset domain alone admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* Intersect is bounded by its smallest child: min |cᵢ|max. *)
-let test_absint_card_intersect_min () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0; 1 ]) in
-  let sub = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let small =
-    Partial.make (Goal.trivial u) (Partial.Find (sub, Pred.Object "cat", Func.Get_left))
-  in
-  let big = Partial.make (Goal.trivial u) Partial.All in
-  let root = Partial.make top (Partial.Intersect [ big; small ]) in
-  let form =
-    Form.Intersect
-      [
-        Form.Const (Simage.of_ids u [ 0; 1; 2 ]);
-        Form.Find (Form.Const (Simage.of_ids u [ 2 ]), Pred.Object "cat", Func.Get_left);
-      ]
-  in
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed: min(3, 1) < 2" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let off = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "bitset domain alone admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* Complement reflects the bounds within the image mask:
-   |¬e| ∈ [n - |e|max, n - |e|min]. *)
-let test_absint_card_complement () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0 ]) in
-  let sub = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let inner =
-    Partial.make (Goal.trivial u) (Partial.Find (sub, Pred.Object "cat", Func.Get_left))
-  in
-  let root = Partial.make top (Partial.Complement inner) in
-  let form =
-    Form.Complement
-      (Form.Find (Form.Const (Simage.of_ids u [ 2 ]), Pred.Object "cat", Func.Get_left))
-  in
-  (* The complement of an at-most-1-object image holds ≥ 2 of the 3
-     objects; an exact singleton goal is unreachable. *)
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed: |¬e| >= 2 but goal has 1" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let off = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "bitset domain alone admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* Filter's backward bound (a non-empty output needs an input) feeds the
-   reduced product: the hole's 1-object over-approximation pins its
-   interval to an exact singleton, recorded in the tight map. *)
-let test_absint_card_filter_pins_hole () =
-  let u = three_cats_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0 ]) in
-  let h = Partial.hole (Goal.make ~under:(Simage.empty u) ~over:(Simage.of_ids u [ 1 ])) in
-  let root = Partial.make top (Partial.Filter (h, Pred.Object "cat")) in
-  let form = Form.Filter (Form.Hole, Pred.Object "cat") in
-  let env = Absint.make_env u in
-  (match Absint.analyze env root form with
-  | Absint.Feasible -> ()
-  | Absint.Infeasible -> Alcotest.fail "expected feasible");
-  match Partial.tight_for root ~hole:h with
-  | None -> Alcotest.fail "expected the hole pinned to its only candidate object"
-  | Some g ->
-      check_ids u [ 1 ] g.Goal.under;
-      check_ids u [ 1 ] g.Goal.over
-
-(* ---------- Absint: per-image planes ---------- *)
-
-let two_image_universe () =
-  universe
-    [
-      (0, thing "cat", box 10 50 40 40);
-      (0, thing "cat", box 70 50 40 40);
-      (0, thing "cat", box 130 50 40 40);
-      (1, thing "cat", box 10 50 40 40);
-      (1, thing "cat", box 70 50 40 40);
-    ]
-
-(* Find is image-local: an input with no objects on some demo image can
-   produce nothing there, even though globally its over-approximation is
-   non-empty.  The whole-universe interval cannot see this. *)
-let test_absint_per_image_find_empty_input () =
-  let u = two_image_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 3 ]) in
-  let sub = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let root = Partial.make top (Partial.Find (sub, Pred.Object "cat", Func.Get_left)) in
-  let form =
-    Form.Find (Form.Const (Simage.of_ids u [ 0 ]), Pred.Object "cat", Func.Get_left)
-  in
-  (* Input lives on image 0 only; the goal wants an output on image 1. *)
-  let env = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "killed on image 1's empty plane" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let off = Absint.make_env ~per_image:false ~cardinality:false u in
-  Alcotest.(check bool) "global interval admits" true
-    (Absint.analyze off root form = Absint.Feasible)
-
-(* The product of both refinements: per-image counting.  Globally the
-   input has 2 objects and the goal 2, so |out| ≤ |in| holds; but on
-   image 0 the input has 1 object and the goal needs 2. *)
-let test_absint_per_image_cardinality () =
-  let u = two_image_universe () in
-  let top = Goal.exact (Simage.of_ids u [ 0; 1 ]) in
-  let sub = Partial.make (Goal.trivial u) (Partial.Is (Pred.Object "cat")) in
-  let root = Partial.make top (Partial.Find (sub, Pred.Object "cat", Func.Get_left)) in
-  let form =
-    Form.Find (Form.Const (Simage.of_ids u [ 2; 3 ]), Pred.Object "cat", Func.Get_left)
-  in
-  let env = Absint.make_env u in
-  Alcotest.(check bool) "killed: image 0 supplies 1 input for 2 outputs" true
-    (Absint.analyze env root form = Absint.Infeasible);
-  let no_planes = Absint.make_env ~per_image:false u in
-  Alcotest.(check bool) "global cardinality admits" true
-    (Absint.analyze no_planes root form = Absint.Feasible);
-  let no_card = Absint.make_env ~cardinality:false u in
-  Alcotest.(check bool) "per-image bitsets admit" true
-    (Absint.analyze no_card root form = Absint.Feasible)
-
 (* ---------- Rewrite ---------- *)
 
 let const u ids = Peval.Form.Const (Simage.of_ids u ids)
@@ -816,14 +641,6 @@ let () =
           Alcotest.test_case "find reach kill" `Quick test_absint_find_reach_kill;
           Alcotest.test_case "iteration cap" `Quick test_absint_iteration_cap;
           Alcotest.test_case "mismatch admitted" `Quick test_absint_mismatch_admitted;
-          Alcotest.test_case "card: find forward" `Quick test_absint_card_find_forward;
-          Alcotest.test_case "card: find hole input" `Quick test_absint_card_find_hole_input;
-          Alcotest.test_case "card: union sum" `Quick test_absint_card_union_sum;
-          Alcotest.test_case "card: intersect min" `Quick test_absint_card_intersect_min;
-          Alcotest.test_case "card: complement reflect" `Quick test_absint_card_complement;
-          Alcotest.test_case "card: filter pins hole" `Quick test_absint_card_filter_pins_hole;
-          Alcotest.test_case "per-image: find empty input" `Quick test_absint_per_image_find_empty_input;
-          Alcotest.test_case "per-image: cardinality product" `Quick test_absint_per_image_cardinality;
         ] );
       ( "rewrite",
         [

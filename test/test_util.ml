@@ -224,31 +224,6 @@ let qcheck_props =
         Bitset.disjoint a b = Bitset.is_empty (Bitset.inter a b));
   ]
 
-(* The masked helpers against their allocating definitions, at universe
-   sizes on either side of the 63-bit word boundaries.  [b] is widened by
-   [a ∩ m] half the time so [subset_on] is exercised on both outcomes. *)
-let masked_props =
-  List.concat_map
-    (fun n ->
-      let gen = bitset_gen n in
-      let triple = QCheck2.Gen.(triple gen gen (pair gen bool)) in
-      let name what = Printf.sprintf "%s (n=%d)" what n in
-      [
-        QCheck2.Test.make ~name:(name "cardinal_inter = cardinal inter") ~count:100
-          (QCheck2.Gen.pair gen gen) (fun (a, m) ->
-            Bitset.cardinal_inter a m = Bitset.cardinal (Bitset.inter a m));
-        QCheck2.Test.make ~name:(name "subset_on = subset inter") ~count:100 triple
-          (fun (a, m, (b, widen)) ->
-            let b = if widen then Bitset.union b (Bitset.inter a m) else b in
-            Bitset.subset_on m a b = Bitset.subset (Bitset.inter a m) b);
-        QCheck2.Test.make ~name:(name "splice = inside on mask, outside elsewhere")
-          ~count:100 triple (fun (outside, m, (inside, _)) ->
-            Bitset.equal
-              (Bitset.splice m ~inside ~outside)
-              (Bitset.union (Bitset.inter inside m) (Bitset.diff outside m)));
-      ])
-    [ 62; 63; 64; 126; 127 ]
-
 (* ---------- Pqueue ---------- *)
 
 let test_pqueue_order () =
@@ -374,7 +349,7 @@ let () =
           Alcotest.test_case "choose" `Quick test_bitset_choose;
           Alcotest.test_case "hash reads every word" `Quick test_bitset_hash_every_word;
         ]
-        @ List.map QCheck_alcotest.to_alcotest (qcheck_props @ masked_props) );
+        @ List.map QCheck_alcotest.to_alcotest qcheck_props );
       ( "pqueue",
         [
           Alcotest.test_case "order" `Quick test_pqueue_order;
