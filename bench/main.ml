@@ -706,16 +706,16 @@ let micro () =
                    (Imageeye_util.Bitset.union a b))));
       Test.make ~name:"component/pqueue-push-pop"
         (Staged.stage (fun () ->
-             (* The scheduler's own monomorphic comparator, not polymorphic
-                Stdlib.compare — this measures what the search actually runs. *)
-             let q =
-               List.fold_left
-                 (fun q i -> Imageeye_util.Pqueue.push q (i mod 17, i) i)
-                 (Imageeye_util.Pqueue.empty
-                    ~compare:Imageeye_engine.Scheduler.compare_priority)
-                 (List.init 256 Fun.id)
-             in
-             ignore (Imageeye_util.Pqueue.to_sorted_list q)));
+             (* The search's own worklist: 256 pushes over 17 sizes, then a
+                full drain. *)
+             let module Scheduler = Imageeye_engine.Scheduler in
+             let q = Scheduler.create () in
+             for i = 0 to 255 do
+               Scheduler.push q (i mod 17, i land 7) i
+             done;
+             while Scheduler.pop q <> None do
+               ()
+             done));
     ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -883,7 +883,7 @@ let append_history path =
   let row =
     J.Obj
       [
-        ("ts", J.Float (Unix.gettimeofday ()));
+        ("ts", Imageeye_report.Trend.ts_field (Unix.gettimeofday ()));
         ("commit", J.Str (git_commit ()));
         ("mode", J.Str mode);
         ("solved", J.Int solved);

@@ -45,6 +45,11 @@ val feasible : Goal.t -> bool
 
 val default_max_iterations : int
 
+type scratch
+(** The word buffer that holds every mirror node's intervals during an
+    analysis; owned by one env, reused by each analysis and grown on
+    demand. *)
+
 type env = {
   u : Imageeye_symbolic.Universe.t;
   reach_find : Pred.t -> Func.t -> Imageeye_symbolic.Simage.t;
@@ -57,10 +62,12 @@ type env = {
   mutable tightened : int;  (** analyses that tightened at least one hole *)
   mutable cap_hits : int;
       (** analyses stopped by [max_iterations] before the fixpoint *)
+  scratch : scratch;
 }
 (** Per-search analysis environment: reach tables shared with the
-    engine's vocabulary facts, plus plain (single-Domain) counters the
-    engine folds into [stats.prune_counts]. *)
+    engine's vocabulary facts, plain (single-Domain) counters the engine
+    folds into [stats.prune_counts], and the analyses' word buffer — so
+    an env must not be shared between Domains. *)
 
 val make_env :
   ?max_iterations:int ->
@@ -82,4 +89,6 @@ val analyze : env -> Partial.t -> Form.t -> result
     {!Partial.set_tight}; hole backward intervals are seeded from the
     tight map already present on [root] (inherited from the candidate it
     was expanded from).  A form whose shape cannot be mirrored (e.g.
-    collapse was off) is admitted unanalyzed. *)
+    collapse was off) is admitted unanalyzed.  The intervals live in the
+    env's word buffer and are updated in place; the only sets allocated
+    are the tightened goals. *)

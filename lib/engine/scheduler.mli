@@ -2,9 +2,10 @@
 
     Two layers:
 
-    - a plain mutable priority worklist ({!t}) ordered by [(size, depth)]
-      with FIFO tie-breaking, which is what makes the search
-      deterministic; and
+    - a mutable bucket worklist ({!t}) ordered by [(size, depth)] with
+      FIFO tie-breaking, which is what makes the search deterministic:
+      one FIFO per priority, and a cursor at the lowest bucket that may
+      hold an entry; and
     - {!Tiered}, the generic size-then-depth search driver (the loop of
       Fig. 9), parameterized over a {e program-expansion interface} so it
       knows nothing about partial programs, pruning, or the DSL.
@@ -17,17 +18,16 @@
     early. *)
 
 type priority = int * int
-(** [(size, depth)], compared lexicographically, smallest first. *)
-
-val compare_priority : priority -> priority -> int
-(** The monomorphic lexicographic comparison the worklist is built with
-    (polymorphic compare is too slow for the search's hottest loop). *)
+(** [(size, depth)], compared lexicographically, smallest first.  Both
+    components must be non-negative. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 val push : 'a t -> priority -> 'a -> unit
+(** Raises [Invalid_argument] on a negative size or depth.  A push may
+    land below the last popped priority. *)
 
 val pop : 'a t -> (priority * 'a) option
 (** Removes a minimum-priority entry; among equal priorities, the

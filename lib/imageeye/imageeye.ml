@@ -21,7 +21,6 @@
 
 module Rng = Imageeye_util.Rng
 module Bitset = Imageeye_util.Bitset
-module Pqueue = Imageeye_util.Pqueue
 module Stats = Imageeye_util.Stats
 
 (** {1 Geometry and rasters} *)

@@ -16,6 +16,8 @@ type row = {
   nodes : int;
 }
 
+let ts_field now = J.Int (int_of_float now)
+
 let row_of_json doc =
   let str key = Option.bind (Jsonin.member key doc) Jsonin.to_string_opt in
   let int key = Option.bind (Jsonin.member key doc) Jsonin.to_int_opt in

@@ -17,6 +17,11 @@ type row = {
   nodes : int;
 }
 
+val ts_field : float -> Imageeye_util.Jsonout.t
+(** A row's [ts] field for the Unix time [now]: whole seconds, written
+    as an integer.  (A float field prints through [%.6g], which rounds a
+    current timestamp to 10,000 s.) *)
+
 val parse_history : string -> row list
 (** Parse JSONL text, in file order; lines that are blank, malformed,
     or missing the mode/solved/nodes fields are skipped. *)

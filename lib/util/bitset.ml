@@ -10,6 +10,8 @@ let create n =
 
 let universe_size t = t.size
 
+let words t = t.words
+
 let check_elt t x =
   if x < 0 || x >= t.size then
     invalid_arg (Printf.sprintf "Bitset: element %d outside universe [0,%d)" x t.size)
@@ -31,6 +33,17 @@ let full n =
   Array.fill t.words 0 w (-1);
   if n > 0 then t.words.(w - 1) <- t.words.(w - 1) land last_mask t
   else t.words.(0) <- 0;
+  t
+
+let of_words n words =
+  if n < 0 then invalid_arg "Bitset.of_words: negative size";
+  let t = { size = n; words } in
+  let w = Array.length words in
+  if w <> max 1 (nwords n) then
+    invalid_arg "Bitset.of_words: word count does not match the universe";
+  let valid = if n > 0 then last_mask t else 0 in
+  if words.(w - 1) land lnot valid <> 0 then
+    invalid_arg "Bitset.of_words: bits outside the universe";
   t
 
 let mem t x =
@@ -114,13 +127,25 @@ let disjoint a b =
   let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
   go 0
 
-let equal a b =
+(* Index of the first word where [a] and [b] differ, or their word count:
+   a loop with no closure, since [equal] runs on every intern-table
+   lookup and [compare] whenever two distinct constants meet in a form
+   comparison.  [compare] keeps the order polymorphic compare gave the
+   word arrays: signed, word by word. *)
+let first_difference a b =
   check_same a b;
-  a.words = b.words
+  let n = Array.length a.words in
+  let i = ref 0 in
+  while !i < n && a.words.(!i) = b.words.(!i) do
+    incr i
+  done;
+  !i
+
+let equal a b = first_difference a b = Array.length a.words
 
 let compare a b =
-  check_same a b;
-  Stdlib.compare a.words b.words
+  let i = first_difference a b in
+  if i = Array.length a.words then 0 else Int.compare a.words.(i) b.words.(i)
 
 (* [Hashtbl.hash] reads at most 10 words of the array, so on its own it
    would give every set over a universe larger than 630 objects that

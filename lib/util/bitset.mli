@@ -16,6 +16,19 @@ val create : int -> t
 
 val universe_size : t -> int
 
+val words : t -> int array
+(** The set's packed words, 63 elements to a word, element [x] at bit
+    [x mod 63] of word [x / 63]; bits past the universe are clear.  A
+    read-only view, not a copy: mutating the array corrupts the set and
+    every value that shares it (interned sets are shared). *)
+
+val of_words : int -> int array -> t
+(** [of_words n words] is the set over universe size [n] whose packed
+    words (as {!words} lays them out) are [words].  The set takes the
+    array over without copying it, so the caller must not mutate it
+    afterwards.  Raises [Invalid_argument] when the word count does not
+    fit [n] or a bit past the universe is set. *)
+
 val full : int -> t
 (** [full n] contains every element of the universe. *)
 
@@ -48,7 +61,10 @@ val disjoint : t -> t -> bool
     AND-test, equivalent to [is_empty (inter a b)] but allocation-free. *)
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** A total order: the packed words compared as signed integers, first
+    word first. *)
 
 val hash : t -> int
 (** Reads every word; equal sets hash equally. *)

@@ -206,6 +206,23 @@ let test_html_report () =
                contains e.before_file && contains e.after_file)
              entries))
 
+(* A perf-history row's timestamp survives the JSONL line to the second. *)
+let test_trend_ts_round_trip () =
+  let now = 1792412345.75 in
+  let line =
+    Imageeye_util.Jsonout.to_line
+      (Imageeye_util.Jsonout.Obj
+         [
+           ("ts", Imageeye_report.Trend.ts_field now);
+           ("mode", Imageeye_util.Jsonout.Str "quick");
+           ("solved", Imageeye_util.Jsonout.Int 48);
+           ("nodes", Imageeye_util.Jsonout.Int 1);
+         ])
+  in
+  match Imageeye_report.Trend.parse_history line with
+  | [ row ] -> Alcotest.(check (float 0.0)) "whole seconds" 1792412345.0 row.ts
+  | rows -> Alcotest.failf "expected one row, parsed %d" (List.length rows)
+
 let () =
   Alcotest.run "e2e"
     [
@@ -218,5 +235,6 @@ let () =
           Alcotest.test_case "program persistence" `Quick test_program_persistence_roundtrip;
           Alcotest.test_case "batch export" `Quick test_batch_export;
           Alcotest.test_case "html report" `Quick test_html_report;
+          Alcotest.test_case "trend ts to the second" `Quick test_trend_ts_round_trip;
         ] );
     ]

@@ -33,6 +33,44 @@ let test_scheduler_size_then_depth () =
     (drain []);
   Alcotest.(check int) "drained" 0 (Scheduler.length q)
 
+(* The worklist against a model: a list in push order whose next entry is
+   the first of a stable sort by (size, depth).  Pops are interleaved
+   with pushes, so many pushes land below the last popped priority, and
+   [length] is checked after every operation.  [None] is a pop. *)
+let scheduler_model_prop =
+  QCheck2.Test.make ~name:"push/pop = stable sort by priority" ~count:500
+    ~print:QCheck2.Print.(list (option (pair int int)))
+    QCheck2.Gen.(
+      list_size (int_bound 120)
+        (frequency
+           [ (3, map Option.some (pair (int_bound 6) (int_bound 6))); (2, return None) ]))
+    (fun ops ->
+      let q = Scheduler.create () in
+      let model = ref [] in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Some prio ->
+              Scheduler.push q prio id;
+              model := !model @ [ (prio, id) ]
+          | None ->
+              let expected =
+                match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+                | [] -> None
+                | first :: _ -> Some first
+              in
+              let got = Scheduler.pop q in
+              if got <> expected then
+                QCheck2.Test.fail_reportf "op %d: popped %s, expected %s" id
+                  (match got with Some (_, x) -> string_of_int x | None -> "nothing")
+                  (match expected with Some (_, x) -> string_of_int x | None -> "nothing");
+              model := List.filter (fun e -> Some e <> expected) !model);
+          if Scheduler.length q <> List.length !model then
+            QCheck2.Test.fail_reportf "op %d: length %d, expected %d" id
+              (Scheduler.length q) (List.length !model))
+        ops;
+      true)
+
 (* A toy expansion problem over strings: every expansion appends one
    character, so size = depth = length.  With max_size 2 the driver must
    pop the whole bounded space in size order, FIFO within a size. *)
@@ -362,6 +400,7 @@ let () =
             test_tiered_stop_consulted;
           Alcotest.test_case "consider gates the worklist" `Quick
             test_tiered_pruning_in_consider;
+          QCheck_alcotest.to_alcotest scheduler_model_prop;
         ] );
       ( "events",
         [

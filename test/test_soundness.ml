@@ -18,56 +18,6 @@ module Synthesizer = Imageeye_core.Synthesizer
 module Simage = Imageeye_symbolic.Simage
 open Test_support
 
-(* Random small universes: several cats/dogs/faces on a loose grid. *)
-let universe_gen =
-  QCheck2.Gen.(
-    let entity =
-      let* kind =
-        oneofl
-          [ thing "cat"; thing "dog"; face ~face_id:1 ~smiling:true (); face ~face_id:2 () ]
-      in
-      let* col = int_bound 3 and* row = int_bound 3 in
-      return (0, kind, box ((col * 40) + 5) ((row * 40) + 5) 30 30)
-    in
-    list_size (int_range 2 6) entity >|= universe)
-
-let pool_preds = [ Pred.Object "cat"; Pred.Object "dog"; Pred.Face_object; Pred.Smiling ]
-
-(* Random partial programs with goals propagated exactly as Expand does. *)
-let partial_gen u target =
-  let open QCheck2.Gen in
-  let rec gen goal depth =
-    let hole = return (Partial.hole goal) in
-    let leaf =
-      oneof
-        [
-          hole;
-          return (Partial.make goal Partial.All);
-          (oneofl pool_preds >|= fun p -> Partial.make goal (Partial.Is p));
-        ]
-    in
-    if depth = 0 then leaf
-    else
-      oneof
-        [
-          leaf;
-          ( gen (Goal.infer u Goal.For_complement goal) (depth - 1) >|= fun q ->
-            Partial.make goal (Partial.Complement q) );
-          ( pair
-              (gen (Goal.infer u Goal.For_union goal) (depth - 1))
-              (gen (Goal.infer u Goal.For_union goal) (depth - 1))
-          >|= fun (a, b) -> Partial.make goal (Partial.Union [ a; b ]) );
-          ( pair
-              (gen (Goal.infer u Goal.For_intersect goal) (depth - 1))
-              (gen (Goal.infer u Goal.For_intersect goal) (depth - 1))
-          >|= fun (a, b) -> Partial.make goal (Partial.Intersect [ a; b ]) );
-          ( triple (gen (Goal.infer u Goal.For_find goal) (depth - 1)) (oneofl pool_preds)
-              (oneofl Func.all)
-          >|= fun (q, p, f) -> Partial.make goal (Partial.Find (q, p, f)) );
-        ]
-  in
-  gen (Goal.exact target) 3
-
 (* All completions of a partial program where each hole is drawn from a
    fixed pool of small extractors. *)
 let completion_pool =
@@ -226,22 +176,6 @@ let never_prunes_truth_prop =
 (* ---------- Bidirectional abstract interpretation ---------- *)
 
 module Absint = Imageeye_core.Absint
-
-(* Universes whose entities are spread over several images, like every
-   demo universe of a spec with more than one demonstration (the
-   single-image [universe_gen] cannot produce one). *)
-let multi_image_universe_gen =
-  QCheck2.Gen.(
-    let entity =
-      let* kind =
-        oneofl
-          [ thing "cat"; thing "dog"; face ~face_id:1 ~smiling:true (); face ~face_id:2 () ]
-      in
-      let* img = int_bound 2 in
-      let* col = int_bound 3 and* row = int_bound 3 in
-      return (img, kind, box ((col * 40) + 5) ((row * 40) + 5) 30 30)
-    in
-    list_size (int_range 2 6) entity >|= universe)
 
 (* The engine's reach tables come from vocabulary facts; the soundest
    stand-in here is the exact maximal output: Find/Filter are monotone in

@@ -1,9 +1,8 @@
-(* Tests for imageeye_util: deterministic RNG, bitsets, the priority queue
-   and the statistics toolkit. *)
+(* Tests for imageeye_util: deterministic RNG, bitsets and the statistics
+   toolkit. *)
 
 module Rng = Imageeye_util.Rng
 module Bitset = Imageeye_util.Bitset
-module Pqueue = Imageeye_util.Pqueue
 module Stats = Imageeye_util.Stats
 module Tablefmt = Imageeye_util.Tablefmt
 
@@ -224,41 +223,52 @@ let qcheck_props =
         Bitset.disjoint a b = Bitset.is_empty (Bitset.inter a b));
   ]
 
-(* ---------- Pqueue ---------- *)
+(* [equal], [compare] and the word view against a reference that
+   rebuilds the packed words from [to_list] and compares the arrays
+   polymorphically (the order [compare] has always had: signed, word by
+   word), at universe sizes on both sides of each 63-bit word boundary.
+   [b] is [a], [a] with one element toggled, or an unrelated set, so
+   equal and nearly equal pairs both occur. *)
+let reference_words n a =
+  let words = Array.make (max 1 ((n + 62) / 63)) 0 in
+  List.iter
+    (fun x -> words.(x / 63) <- words.(x / 63) lor (1 lsl (x mod 63)))
+    (Bitset.to_list a);
+  words
 
-let test_pqueue_order () =
-  let q = Pqueue.of_list ~compare [ (3, "c"); (1, "a"); (2, "b") ] in
-  Alcotest.(check (list (pair int string)))
-    "sorted" [ (1, "a"); (2, "b"); (3, "c") ] (Pqueue.to_sorted_list q)
+let word_order_props =
+  List.map
+    (fun n ->
+      let gen =
+        QCheck2.Gen.(
+          let* a = bitset_gen n in
+          let* x = int_bound (n - 1) in
+          let toggled = if Bitset.mem a x then Bitset.remove a x else Bitset.add a x in
+          let* b = oneof [ return a; return toggled; bitset_gen n ] in
+          return (a, b))
+      in
+      let sign c = Int.compare c 0 in
+      QCheck2.Test.make
+        ~name:(Printf.sprintf "n=%d equal/compare/words vs reference" n)
+        ~count:300 gen
+        (fun (a, b) ->
+          let ra = reference_words n a and rb = reference_words n b in
+          Bitset.equal a b = (ra = rb)
+          && sign (Bitset.compare a b) = sign (Stdlib.compare ra rb)
+          && sign (Bitset.compare b a) = sign (Stdlib.compare rb ra)
+          && Bitset.words a = ra
+          && Bitset.equal (Bitset.of_words n (Array.copy (Bitset.words a))) a))
+    [ 62; 63; 64; 126; 127 ]
 
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.of_list ~compare [ (1, "first"); (1, "second"); (1, "third") ] in
-  Alcotest.(check (list (pair int string)))
-    "FIFO within ties"
-    [ (1, "first"); (1, "second"); (1, "third") ]
-    (Pqueue.to_sorted_list q)
-
-let test_pqueue_empty () =
-  let q = Pqueue.empty ~compare in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Alcotest.(check bool) "pop none" true (Pqueue.pop (q : (int, unit) Pqueue.t) = None)
-
-let test_pqueue_length () =
-  let q = Pqueue.of_list ~compare [ (1, ()); (2, ()); (3, ()) ] in
-  Alcotest.(check int) "length" 3 (Pqueue.length q);
-  match Pqueue.pop q with
-  | Some (_, _, q') -> Alcotest.(check int) "after pop" 2 (Pqueue.length q')
-  | None -> Alcotest.fail "expected element"
-
-let pqueue_props =
-  [
-    QCheck2.Test.make ~name:"drains in sorted order" ~count:200
-      QCheck2.Gen.(list (int_bound 1000))
-      (fun xs ->
-        let q = Pqueue.of_list ~compare (List.map (fun x -> (x, ())) xs) in
-        let drained = List.map fst (Pqueue.to_sorted_list q) in
-        drained = List.sort compare xs);
-  ]
+let test_bitset_of_words_checks () =
+  Alcotest.(check (list int)) "round trip" [ 0; 62; 63; 99 ]
+    (Bitset.to_list (Bitset.of_words 100 [| 1 lor (1 lsl 62); 1 lor (1 lsl 36) |]));
+  Alcotest.check_raises "bit past the universe"
+    (Invalid_argument "Bitset.of_words: bits outside the universe") (fun () ->
+      ignore (Bitset.of_words 100 [| 0; 1 lsl 37 |]));
+  Alcotest.check_raises "word count"
+    (Invalid_argument "Bitset.of_words: word count does not match the universe") (fun () ->
+      ignore (Bitset.of_words 64 [| 0 |]))
 
 (* ---------- Stats ---------- *)
 
@@ -348,16 +358,9 @@ let () =
           Alcotest.test_case "disjoint" `Quick test_bitset_disjoint;
           Alcotest.test_case "choose" `Quick test_bitset_choose;
           Alcotest.test_case "hash reads every word" `Quick test_bitset_hash_every_word;
+          Alcotest.test_case "of_words checks its words" `Quick test_bitset_of_words_checks;
         ]
-        @ List.map QCheck_alcotest.to_alcotest qcheck_props );
-      ( "pqueue",
-        [
-          Alcotest.test_case "order" `Quick test_pqueue_order;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "empty" `Quick test_pqueue_empty;
-          Alcotest.test_case "length" `Quick test_pqueue_length;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest pqueue_props );
+        @ List.map QCheck_alcotest.to_alcotest (qcheck_props @ word_order_props) );
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_stats_mean;
