@@ -53,15 +53,16 @@ optimal-smoke: build
 
 # Daemon lifecycle end to end: serve on a temp socket, a loadgen run, a
 # deadline probe, a wire-driven session, adversarial probes (nesting
-# bomb, oversized line), then a graceful SIGTERM drain that must exit 0.
+# bomb, oversized line), a graceful SIGTERM drain that must exit 0, then
+# a loadgen run against the dead socket that must count 4 transport
+# errors and exit non-zero.
 serve-smoke: build
 	bash scripts/serve_smoke.sh
 
-# The sharded tier end to end: two daemons with persistent state dirs
-# behind a consistent-hash router, mixed-op loadgen with percentile
-# assertions, a worker SIGKILLed mid-run (degrade, don't fail), a
-# state-dir-locked duplicate-daemon probe, graceful drains, and a warm
-# restart from the drain snapshot.
+# The sharded tier end to end: two daemons behind a consistent-hash
+# router, mixed-op loadgen with percentile assertions, a worker
+# SIGKILLed mid-run (degrade, don't fail), that worker restarted and
+# serving its keys again after --retry-dead, and graceful drains.
 router-smoke: build
 	bash scripts/router_smoke.sh
 

@@ -652,15 +652,13 @@ let port_arg =
   Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT"
          ~doc:"Listen/connect on TCP 127.0.0.1:PORT instead of a unix socket.")
 
-let serve socket port jobs timeout max_rounds quiet max_line_bytes read_timeout max_conns
-    state_dir snapshot_interval =
+let serve socket port jobs timeout max_rounds quiet max_line_bytes read_timeout max_conns =
   let endpoint =
     match port with Some p -> Serve.Tcp p | None -> Serve.Unix_socket socket
   in
   if max_line_bytes < 2 then failwith "need --max-line-bytes >= 2";
   if max_conns < 1 then failwith "need --max-conns >= 1";
   if read_timeout < 0.0 then failwith "need --read-timeout >= 0 (0 disables)";
-  if snapshot_interval <= 0.0 then failwith "need --snapshot-interval > 0";
   Serve.run
     {
       endpoint;
@@ -671,8 +669,6 @@ let serve socket port jobs timeout max_rounds quiet max_line_bytes read_timeout 
       max_line_bytes;
       read_timeout_s = (if read_timeout = 0.0 then None else Some read_timeout);
       max_connections = max_conns;
-      state_dir;
-      snapshot_interval_s = snapshot_interval;
     }
 
 let serve_cmd =
@@ -713,24 +709,13 @@ let serve_cmd =
              ~env:(Cmd.Env.info "IMAGEEYE_MAX_CONNS")
              ~doc:"Connection admission cap; excess connections are shed with one              overloaded error line.")
   in
-  let state_dir =
-    Arg.(value
-         & opt (some string) None
-         & info [ "state-dir" ] ~docv:"DIR"
-             ~env:(Cmd.Env.info "IMAGEEYE_STATE_DIR")
-             ~doc:"Durable warm state: re-intern demonstration universes from DIR on boot (a corrupt              snapshot is loudly rejected and the daemon starts cold) and snapshot              them periodically and on SIGTERM.  The directory is exclusively locked;              a second daemon fails with state-dir-locked.")
-  in
-  let snapshot_interval =
-    Arg.(value
-         & opt float Serve.default_config.snapshot_interval_s
-         & info [ "snapshot-interval" ] ~docv:"SECONDS"
-             ~doc:"Periodic snapshot cadence under --state-dir.")
-  in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the persistent synthesis daemon: newline-delimited JSON requests over a              unix-domain or TCP socket, synthesis on a worker Domain pool with interned              cross-request universes.  --state-dir makes the warmth survive restarts.              SIGTERM drains gracefully, snapshots state and dumps metrics.")
+       ~doc:"Run the persistent synthesis daemon: newline-delimited JSON requests over a \
+             unix-domain or TCP socket, synthesis on a worker Domain pool with interned \
+             cross-request universes.  SIGTERM drains gracefully and dumps metrics.")
     Term.(const serve $ socket_arg $ port_arg $ jobs $ timeout $ max_rounds $ quiet
-          $ max_line_bytes $ read_timeout $ max_conns $ state_dir $ snapshot_interval)
+          $ max_line_bytes $ read_timeout $ max_conns)
 
 (* Worker/endpoint specs: "unix:PATH", "tcp:PORT" (loopback),
    "tcp:HOST:PORT", or a bare unix-socket path. *)
@@ -1061,26 +1046,32 @@ let loadgen socket port endpoints concurrency requests task images demo_images s
   let worker endpoint () =
     (* Connect with bounded backoff, and on a mid-run transport failure
        (daemon restarted, EPIPE, connection shed) reconnect and retry
-       the request a bounded number of times before counting it lost. *)
-    let c = ref (Client.connect_retry endpoint) in
-    let reconnect () =
-      Client.close !c;
-      c := Client.connect_retry endpoint
+       the request a bounded number of times before counting it lost.
+       A connect that still fails leaves the thread without a
+       connection: every request it takes from then on is a transport
+       error, so the outcome counts always sum to [requests]. *)
+    let connect () =
+      match Client.connect_retry endpoint with
+      | c -> Ok c
+      | exception Unix.Unix_error (e, _, _) ->
+          Error (Printf.sprintf "connect failed: %s" (Unix.error_message e))
+      | exception Failure msg -> Error (Printf.sprintf "connect failed: %s" msg)
     in
+    let conn = ref (connect ()) in
     Fun.protect
-      ~finally:(fun () -> Client.close !c)
+      ~finally:(fun () -> Result.iter Client.close !conn)
       (fun () ->
         let rec rpc_with_retry request tries =
-          match Client.rpc !c request with
-          | Ok r -> Ok r
-          | Error msg ->
-              if tries >= 3 then Error msg
-              else (
-                (match reconnect () with
-                | () -> ()
-                | exception Unix.Unix_error (e, _, _) ->
-                    failwith (Printf.sprintf "reconnect failed: %s" (Unix.error_message e)));
-                rpc_with_retry request (tries + 1))
+          match !conn with
+          | Error msg -> Error msg
+          | Ok c -> (
+              match Client.rpc c request with
+              | Ok r -> Ok r
+              | Error msg when tries >= 3 -> Error msg
+              | Error _ ->
+                  Client.close c;
+                  conn := connect ();
+                  rpc_with_retry request (tries + 1))
         in
         let rec loop () =
           match take () with

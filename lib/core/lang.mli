@@ -3,7 +3,8 @@
     A program is a set of guarded actions [E -> A]; extractors [E] select
     sets of objects from a symbolic image.  [Union] and [Intersect] are
     variadic as in the paper (the synthesizer enumerates arities 2 and 3,
-    which covers every ground-truth program in Appendix B). *)
+    which covers every ground-truth program in Appendix B; [test_tasks]
+    checks it against the default config). *)
 
 type extractor =
   | All  (** the whole image *)

@@ -61,11 +61,6 @@ let record_fault t outcome =
       Hashtbl.replace t.faults outcome
         (1 + Option.value (Hashtbl.find_opt t.faults outcome) ~default:0))
 
-let incr_counter t label n =
-  locked t (fun () ->
-      Hashtbl.replace t.counters label
-        (n + Option.value (Hashtbl.find_opt t.counters label) ~default:0))
-
 (* Nearest-rank quantile: the q-quantile of n sorted samples is sample
    ⌈q·n⌉ (1-indexed).  The previous [round (q·(n-1))] interpolation
    disagreed with nearest-rank on small samples — p50 of [a; b]

@@ -50,11 +50,6 @@ val record_fault : t -> string -> unit
     the snapshot's ["faults"] object, never as a silently dropped
     thread. *)
 
-val incr_counter : t -> string -> int -> unit
-(** Add to one named counter outside the request path — the server's
-    persistence layer counts restored state ([persist(...)] labels)
-    here so warm starts are visible in the snapshot. *)
-
 val quantile : float array -> float -> float
 (** Nearest-rank quantile of a {e sorted} sample array: element
     [⌈q·n⌉] (1-indexed, clamped), [0.0] on an empty array.  Exposed so

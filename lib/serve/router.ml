@@ -79,9 +79,12 @@ let with_worker_slot state w f =
       Mutex.unlock w.w_mutex)
     f
 
+(* Every loss (re-)arms the timer, a failed re-probe included: keeping
+   the first loss's time would let every request through once the first
+   window had passed. *)
 let mark_dead w =
   Mutex.lock w.w_mutex;
-  (match w.w_dead_since with None -> w.w_dead_since <- Some (Clock.counter ()) | Some _ -> ());
+  w.w_dead_since <- Some (Clock.counter ());
   Mutex.unlock w.w_mutex
 
 let mark_live w =

@@ -8,8 +8,8 @@
     universe sharing), and [session-open] hashes
     [(task, images, seed)] — the dataset identity.  The ring is a pure
     function of the worker list, so the key→worker mapping survives
-    router restarts and each worker's interned universes (including its
-    [--state-dir] snapshots) keep paying off.
+    router restarts and each worker's interned universes keep paying
+    off.
 
     Sessions are stateful on their worker: the router allocates its own
     session ids, remembers [router sid → (worker, worker sid)], and
@@ -18,11 +18,11 @@
 
     Worker loss degrades, never fails: a worker that cannot be reached
     is marked dead, the request re-hashes to the ring's next live worker
-    (counted under [faults.worker-lost]), and dead workers are re-probed
-    after [retry_dead_s].  Sessions pinned to a lost worker return a
-    [worker-lost] error.  Per-worker admission is bounded: at most
-    [worker_inflight] requests are in flight per worker, further ones
-    wait (backpressure, not queue growth).
+    (counted under [faults.worker-lost]), and a dead worker is re-probed
+    [retry_dead_s] after each failure until it answers.  Sessions pinned
+    to a lost worker return a [worker-lost] error.  Per-worker admission
+    is bounded: at most [worker_inflight] requests are in flight per
+    worker, further ones wait (backpressure, not queue growth).
 
     [metrics] fans out to every worker and returns
     [{router: <own snapshot>, workers: {<name>: <snapshot | error>}}];
@@ -36,7 +36,7 @@ type config = {
   read_timeout_s : float option;
   max_connections : int;
   worker_inflight : int;  (** per-worker in-flight cap (backpressure) *)
-  retry_dead_s : float;  (** how soon a dead worker is probed again *)
+  retry_dead_s : float;  (** how soon after its last failure a dead worker is probed *)
 }
 
 val default_config : config

@@ -21,8 +21,6 @@ type config = {
   max_line_bytes : int;
   read_timeout_s : float option;
   max_connections : int;
-  state_dir : string option;
-  snapshot_interval_s : float;
 }
 
 let default_config =
@@ -35,8 +33,6 @@ let default_config =
     max_line_bytes = Frame.default_limits.Frame.max_line_bytes;
     read_timeout_s = Frame.default_limits.Frame.read_timeout_s;
     max_connections = 64;
-    state_dir = None;
-    snapshot_interval_s = 60.0;
   }
 
 (* ---------- connections ---------- *)
@@ -480,34 +476,6 @@ let reader state conn () =
         Metrics.record_fault state.metrics "reader-exception";
         logf state "reader error on %s: %s" conn.peer (Printexc.to_string e))
 
-(* ---------- persistence ---------- *)
-
-let snapshot_state state ~state_dir ~reason =
-  match Persist.save ~state_dir with
-  | universes ->
-      Metrics.incr_counter state.metrics "persist(snapshots)" 1;
-      logf state "snapshot (%s): %d universe(s) -> %s" reason universes
-        (Persist.snapshot_path state_dir)
-  | exception e ->
-      (* A failed snapshot must never take the daemon down — warmth is
-         an optimization; serving is the job. *)
-      Metrics.record_fault state.metrics "snapshot-failed";
-      logf state "snapshot (%s) failed: %s" reason (Printexc.to_string e)
-
-let warm_start state ~state_dir =
-  match Persist.load ~state_dir with
-  | Ok None -> logf state "state-dir %s: no snapshot, cold start" state_dir
-  | Ok (Some universes) ->
-      Metrics.incr_counter state.metrics "persist(restored-universes)" universes;
-      logf state "warm start from %s: %d universe(s) restored"
-        (Persist.snapshot_path state_dir) universes
-  | Error reason ->
-      (* Loud even under [--quiet]: a rejected snapshot is the one event
-         an operator must never miss (and never see as a crash). *)
-      Metrics.record_fault state.metrics "snapshot-rejected";
-      Printf.eprintf "imageeye-serve: REJECTED snapshot %s: %s; starting cold\n%!"
-        (Persist.snapshot_path state_dir) reason
-
 (* ---------- lifecycle ---------- *)
 
 let endpoint_name = function
@@ -601,31 +569,12 @@ let run config =
     }
   in
   install_signals state;
-  (* Take the state-dir lock and restore warm state before binding the
-     endpoint: a second daemon pointed at the same directory dies loudly
-     here, before it can steal the socket. *)
-  let persistence =
-    match config.state_dir with
-    | None -> None
-    | Some dir -> (
-        match Persist.lock_state_dir dir with
-        | Error msg -> failwith msg
-        | Ok lock ->
-            warm_start state ~state_dir:dir;
-            Some (dir, lock))
-  in
   let listen_fd = bind_endpoint config.endpoint in
   logf state "listening on %s (%d worker domain(s), default deadline %.0fs)"
     (endpoint_name config.endpoint) (Domainpool.size state.pool) config.default_timeout_s;
-  let last_snapshot = ref (Clock.counter ()) in
   (* Accept loop: select with a short timeout so a stop flag set by a
      signal handler or a shutdown request is noticed promptly. *)
   while not (Atomic.get state.stop) do
-    (match persistence with
-    | Some (dir, _) when Clock.elapsed_s !last_snapshot >= config.snapshot_interval_s ->
-        last_snapshot := Clock.counter ();
-        snapshot_state state ~state_dir:dir ~reason:"periodic"
-    | _ -> ());
     match Unix.select [ listen_fd ] [] [] 0.2 with
     | [], _, _ -> ()
     | _ :: _, _, _ -> (
@@ -681,14 +630,7 @@ let run config =
     Condition.wait state.readers_done state.conns_mutex
   done;
   Mutex.unlock state.conns_mutex;
-  (* Part of the drain, after every in-flight job has finished: the
-     state written here includes the warmth those last requests built. *)
-  (match persistence with
-  | Some (dir, lock) ->
-      snapshot_state state ~state_dir:dir ~reason:"drain";
-      Persist.unlock lock
-  | None -> ());
-  (* The final snapshot goes to stderr unconditionally: it is the
+  (* The final metrics snapshot goes to stderr unconditionally: it is the
      SIGTERM-triggered dump the operator greps after a deploy. *)
   Printf.eprintf "imageeye-serve: final metrics\n%s%!"
     (J.to_string (metrics_snapshot state))

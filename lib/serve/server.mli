@@ -52,19 +52,11 @@ type config = {
   read_timeout_s : float option;
       (** mid-frame read deadline per connection; [None] disables *)
   max_connections : int;  (** admission cap; excess connections are shed *)
-  state_dir : string option;
-      (** durable warm state: locked on boot ({!Persist.lock_state_dir},
-          a second daemon fails loudly with [state-dir-locked]), restored
-          before the endpoint binds (a bad snapshot is loudly rejected
-          and the daemon starts cold — never a crash), snapshotted
-          periodically and again during the graceful drain *)
-  snapshot_interval_s : float;  (** periodic snapshot cadence *)
 }
 
 val default_config : config
 (** Unix socket ["imageeye.sock"], 1 worker, 120 s, 10 rounds, 16 MiB
-    lines, 30 s read deadline, 64 connections, no state dir (warmth
-    dies with the process), 60 s snapshot cadence. *)
+    lines, 30 s read deadline, 64 connections. *)
 
 val bind_endpoint : endpoint -> Unix.file_descr
 (** Bind and listen.  For [Unix_socket path]: probes an existing path
@@ -74,9 +66,7 @@ val bind_endpoint : endpoint -> Unix.file_descr
     live-endpoint-not-stolen behavior directly; [run] calls it. *)
 
 val run : config -> unit
-(** Serve until a shutdown trigger; returns after the graceful drain
-    (which, with a [state_dir], ends in a final snapshot of the warm
-    state the drained requests built).  Raises [Unix.Unix_error] if the
-    endpoint cannot be bound and [Failure] if the unix-socket path is
-    already served (see {!bind_endpoint}) or the state dir is locked by
-    another daemon. *)
+(** Serve until a shutdown trigger; returns after the graceful drain.
+    Raises [Unix.Unix_error] if the endpoint cannot be bound and
+    [Failure] if the unix-socket path is already served (see
+    {!bind_endpoint}). *)

@@ -13,24 +13,12 @@ let table =
          done;
          !c))
 
-let crc32_update crc s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Checksum.crc32_update";
+let crc32 s =
   let table = Lazy.force table in
-  let c = ref (Int32.lognot crc) in
-  for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xffl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
+  let c = ref 0xffffffffl in
+  String.iter
+    (fun ch ->
+      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xffl) in
+      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+    s;
   Int32.lognot !c
-
-let crc32 s = crc32_update 0l s ~pos:0 ~len:(String.length s)
-
-let to_hex c = Printf.sprintf "%08lx" (Int32.logand c 0xffffffffl)
-
-let of_hex s =
-  (* Exactly 8 hex digits: Int32.of_string alone would also admit signs
-     and '_' separators. *)
-  let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
-  if String.length s <> 8 || not (String.for_all is_hex s) then None
-  else Int32.of_string_opt ("0x" ^ s)

@@ -38,16 +38,6 @@ let shared_universe_of_scenes scenes =
           Hashtbl.add shared_tbl scenes u;
           u)
 
-(* The serving tier's persistence layer snapshots the intern table (the
-   scene lists are the durable keys; universes are their pure
-   recomputation) and clears it between in-process daemon restarts in
-   tests. *)
-let shared_entries () =
-  Mutex.lock shared_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock shared_mutex)
-    (fun () -> Hashtbl.fold (fun scenes u acc -> (scenes, u) :: acc) shared_tbl [])
-
 let clear_shared () =
   Mutex.lock shared_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock shared_mutex) (fun () -> Hashtbl.reset shared_tbl)

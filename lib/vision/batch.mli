@@ -24,13 +24,8 @@ val shared_universe_of_scenes :
     the scene list: equal scene lists return the {e same physical}
     universe, so per-universe synthesis caches (vocabularies, interned
     symbolic images) are shared across the tasks and interaction rounds
-    of a sweep.  Thread-safe; entries live for the process lifetime. *)
-
-val shared_entries :
-  unit -> (Imageeye_scene.Scene.t list * Imageeye_symbolic.Universe.t) list
-(** The current intern table, unordered — the serving tier's persistence
-    layer snapshots exactly this (scene lists are the durable keys; the
-    universes are their pure, deterministic recomputation). *)
+    of a sweep.  Thread-safe; entries live for the process lifetime (a
+    restarted daemon rebuilds them from the scenes its requests carry). *)
 
 val clear_shared : unit -> unit
 (** Drop every interned entry (tests: in-process daemon restarts must

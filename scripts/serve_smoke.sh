@@ -3,7 +3,9 @@
 # temporary unix socket, drive it with the client and the load
 # generator (asserting every request succeeds, and deadline handling),
 # then SIGTERM it and require a graceful, metrics-dumping, zero-status
-# exit.  Run via `make serve-smoke`; CI runs it on every push.
+# exit, after which the load generator must count every request to the
+# dead socket as a transport error.  Run via `make serve-smoke`; CI runs
+# it on every push.
 set -euo pipefail
 
 BIN=${BIN:-./_build/default/bin/imageeye.exe}
@@ -96,6 +98,25 @@ grep -q "final metrics" "$LOG" || {
 }
 if [ -e "$SOCK" ]; then
   echo "socket not unlinked on shutdown" >&2
+  exit 1
+fi
+
+echo "== loadgen with nothing listening counts every request as a transport error"
+set +e
+out=$("$BIN" loadgen --socket "$SOCK" -c 2 -m 4 --task 1 2>&1)
+rc=$?
+set -e
+echo "$out"
+if [ "$rc" -eq 0 ]; then
+  echo "loadgen against a dead socket exited 0" >&2
+  exit 1
+fi
+echo "$out" | grep -q " 4 transport error(s)" || {
+  echo "expected all 4 requests counted as transport errors" >&2
+  exit 1
+}
+if echo "$out" | grep -q "killed on uncaught exception"; then
+  echo "a loadgen thread died instead of counting its requests" >&2
   exit 1
 fi
 

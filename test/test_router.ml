@@ -1,10 +1,12 @@
 (* The sharding tier: consistent-hash ring properties (stability under
-   membership change — the reason restarts keep warm state useful) and
-   an end-to-end router over two in-process daemons, including graceful
-   degradation when a worker is lost mid-run. *)
+   membership change — the reason each worker stays warm for its keys),
+   the ring's CRC-32 hash, an end-to-end router over two in-process
+   daemons, including graceful degradation when a worker is lost
+   mid-run, and the dead-worker re-probe timer. *)
 
 module J = Imageeye_util.Jsonout
 module Jsonin = Imageeye_util.Jsonin
+module Checksum = Imageeye_util.Checksum
 module Protocol = Imageeye_serve.Protocol
 module Server = Imageeye_serve.Server
 module Client = Imageeye_serve.Client
@@ -62,8 +64,8 @@ let test_ring_deterministic () =
 
 (* The property the router's warmth story rests on: growing the pool
    only moves keys onto the new worker; shrinking it only moves the lost
-   worker's keys.  Every other key keeps its owner — and its warm
-   bank. *)
+   worker's keys.  Every other key keeps its owner — and its interned
+   universes. *)
 let test_ring_stability () =
   let four = [ "w1"; "w2"; "w3"; "w4" ] in
   let ring4 = Ring.create four in
@@ -88,6 +90,12 @@ let test_ring_stability () =
           Alcotest.(check bool) "loss only remaps the lost worker's keys" true
             (Ring.lookup ring3 k = owner))
     keys
+
+(* The ring's hash is the standard CRC-32/IEEE: its check value, so
+   ring placement matches zlib's crc32 on every build. *)
+let test_crc32_vectors () =
+  Alcotest.(check int32) "123456789" 0xcbf43926l (Checksum.crc32 "123456789");
+  Alcotest.(check int32) "empty" 0l (Checksum.crc32 "")
 
 (* ---------- router end to end ---------- *)
 
@@ -273,6 +281,74 @@ let test_router_e2e () =
   Thread.join router_thread;
   if Sys.file_exists router_path then Sys.remove router_path
 
+(* A stand-in worker that accepts every connection and closes it at
+   once, so each request forwarded to it fails; [accepts] counts how
+   often the router tried it. *)
+let closing_worker path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  let accepts = Atomic.make 0 and stop = Atomic.make false in
+  let rec loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+          let c, _ = Unix.accept fd in
+          Atomic.incr accepts;
+          Unix.close c);
+      loop ()
+    end
+  in
+  let thread = Thread.create loop () in
+  let stop_worker () =
+    Atomic.set stop true;
+    Thread.join thread;
+    Unix.close fd;
+    Sys.remove path
+  in
+  (accepts, stop_worker)
+
+(* A failed re-probe must re-arm the dead-worker timer: the requests
+   right after it skip the worker instead of each reconnecting to it. *)
+let test_router_reprobe_rearms () =
+  let worker_path = temp_socket () in
+  let accepts, stop_worker = closing_worker worker_path in
+  let router_path = temp_socket () in
+  let retry_dead_s = 0.5 in
+  let config =
+    {
+      Router.default_config with
+      endpoint = Server.Unix_socket router_path;
+      workers = [ Client.Unix_socket worker_path ];
+      quiet = true;
+      retry_dead_s;
+    }
+  in
+  let router_thread = Thread.create Router.run config in
+  let c = Client.connect_retry ~attempts:12 (Client.Unix_socket router_path) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let request () =
+    match Client.rpc c (Protocol.Session_open { task_id = 1; images = Some 2; seed = 1 }) with
+    | Ok r -> Alcotest.(check string) "no live worker" "worker-lost" (error_code r)
+    | Error msg -> Alcotest.failf "transport error: %s" msg
+  in
+  let burst () = for _ = 1 to 10 do request () done in
+  request ();
+  Alcotest.(check int) "the first request tries the worker" 1 (Atomic.get accepts);
+  burst ();
+  Alcotest.(check int) "a dead worker is skipped" 1 (Atomic.get accepts);
+  Thread.delay (retry_dead_s *. 1.5);
+  request ();
+  Alcotest.(check int) "one re-probe after the window" 2 (Atomic.get accepts);
+  burst ();
+  Alcotest.(check int) "the failed re-probe re-armed the timer" 2 (Atomic.get accepts);
+  let r = rpc_ok c Protocol.Shutdown in
+  Alcotest.(check bool) "draining" true (Jsonin.member "draining" r = Some (J.Bool true));
+  Thread.join router_thread;
+  stop_worker ();
+  if Sys.file_exists router_path then Sys.remove router_path
+
 let () =
   Alcotest.run "router"
     [
@@ -283,5 +359,11 @@ let () =
           Alcotest.test_case "order-independent" `Quick test_ring_deterministic;
           Alcotest.test_case "membership stability" `Quick test_ring_stability;
         ] );
-      ("e2e", [ Alcotest.test_case "two workers, one lost" `Slow test_router_e2e ]);
+      ("crc32", [ Alcotest.test_case "known vectors" `Quick test_crc32_vectors ]);
+      ( "e2e",
+        [
+          Alcotest.test_case "two workers, one lost" `Slow test_router_e2e;
+          Alcotest.test_case "failed re-probe re-arms the timer" `Quick
+            test_router_reprobe_rearms;
+        ] );
     ]

@@ -1,8 +1,12 @@
-(* Tests for the plain-text scene serialization used by the CLI. *)
+(* Tests for the plain-text scene serialization used by the CLI, and for
+   the scene and demonstration savers writing through [Fileio]. *)
 
 module Scene = Imageeye_scene.Scene
 module Scene_io = Imageeye_scene.Scene_io
 module Dataset = Imageeye_scene.Dataset
+module Demo_io = Imageeye_interact.Demo_io
+module Benchmarks = Imageeye_tasks.Benchmarks
+module Task = Imageeye_tasks.Task
 
 let sample () =
   Scene.make ~image_id:9 ~width:300 ~height:200
@@ -107,6 +111,38 @@ let roundtrip_prop =
       let ds = Dataset.generate ~n_images:2 ~seed domain in
       List.for_all (fun s -> Scene_io.of_string (Scene_io.to_string s) = s) ds.scenes)
 
+let temp_dir () =
+  let path = Filename.temp_file "imageeye-savers" "" in
+  Sys.remove path;
+  Unix.mkdir path 0o700;
+  path
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let test_scene_io_atomic_savers () =
+  let dir = temp_dir () in
+  (* save_dataset creates its directory recursively *)
+  let nested = Filename.concat (Filename.concat dir "a") "b" in
+  let dataset = Dataset.generate ~n_images:2 ~seed:7 (Benchmarks.by_id 1).Task.domain in
+  Scene_io.save_dataset dataset ~dir:nested;
+  let loaded = Scene_io.load_scenes ~dir:nested in
+  Alcotest.(check int) "round-trips through the created dir"
+    (List.length dataset.Dataset.scenes) (List.length loaded);
+  (* demo save is atomic through the same Fileio path *)
+  let demo_path = Filename.concat dir "demo.json" in
+  Demo_io.save [ { Demo_io.image_id = 3; edits = [] } ] demo_path;
+  (match Demo_io.load demo_path with
+  | Ok [ d ] -> Alcotest.(check int) "demo round-trips" 3 d.Demo_io.image_id
+  | Ok _ | Error _ -> Alcotest.fail "demo did not round-trip");
+  List.iter (fun f -> Sys.remove (Filename.concat nested f)) (Array.to_list (Sys.readdir nested));
+  Unix.rmdir nested;
+  Unix.rmdir (Filename.concat dir "a");
+  rm_rf dir
+
 let () =
   Alcotest.run "scene_io"
     [
@@ -120,4 +156,5 @@ let () =
           Alcotest.test_case "dataset roundtrip" `Quick test_dataset_roundtrip;
           QCheck_alcotest.to_alcotest roundtrip_prop;
         ] );
+      ("fileio", [ Alcotest.test_case "scene/demo savers" `Quick test_scene_io_atomic_savers ]);
     ]

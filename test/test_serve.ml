@@ -1,7 +1,7 @@
 (* Tests for the serve subsystem: the Jsonin reader (round-trip with
    Jsonout, malformed input as values), the wire protocol, the metrics
    accumulator, and an in-process end-to-end daemon over a temporary
-   unix socket. *)
+   unix socket, restarted with nothing in memory. *)
 
 module J = Imageeye_util.Jsonout
 module Jsonin = Imageeye_util.Jsonin
@@ -13,6 +13,7 @@ module Demo_io = Imageeye_interact.Demo_io
 module Dataset = Imageeye_scene.Dataset
 module Scene = Imageeye_scene.Scene
 module Batch = Imageeye_vision.Batch
+module Bank_registry = Imageeye_core.Bank_registry
 module Universe = Imageeye_symbolic.Universe
 module Edit = Imageeye_core.Edit
 module Benchmarks = Imageeye_tasks.Benchmarks
@@ -544,6 +545,46 @@ let test_e2e () =
   Thread.join server;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
+(* A restarted daemon keeps nothing in memory: no interned universe, no
+   cached vocabulary.  What must survive the restart is the answer — the
+   first life's program, found with the same number of nodes. *)
+let test_restart () =
+  let path = temp_socket () in
+  let config =
+    {
+      Server.default_config with
+      endpoint = Server.Unix_socket path;
+      quiet = true;
+      default_timeout_s = 30.0;
+    }
+  in
+  let scenes, demos = demo_payload 30 ~images:6 ~demo_images:1 ~seed:3 in
+  let synth = Protocol.Synthesize { scenes; demos; timeout_s = Some 20.0; optimal = false } in
+  let nodes r = Option.value ~default:0 (Option.bind (stat r "nodes") Jsonin.to_int_opt) in
+  let life () =
+    let server = Thread.create (fun () -> Server.run config) () in
+    let c = connect_with_retry path in
+    let r =
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let r = rpc_ok c synth in
+      let _ = rpc_ok c Protocol.Shutdown in
+      r
+    in
+    Thread.join server;
+    Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
+    r
+  in
+  let r1 = life () in
+  Alcotest.(check string) "first life outcome" "success" (outcome r1);
+  Alcotest.(check bool) "first life searched" true (nodes r1 > 0);
+  Batch.clear_shared ();
+  Bank_registry.clear ();
+  let r2 = life () in
+  Alcotest.(check string) "restart outcome" "success" (outcome r2);
+  Alcotest.(check bool) "restart: same program" true
+    (Jsonin.member "program" r2 = Jsonin.member "program" r1);
+  Alcotest.(check int) "restart: same nodes" (nodes r1) (nodes r2)
+
 (* Regression: the client used to read responses with an unbounded
    [input_line], so a misbehaving (or malicious) server could make it
    buffer arbitrarily much.  It now reads through the same bounded
@@ -635,4 +676,5 @@ let () =
             test_client_bounded_response;
         ] );
       ("e2e", [ Alcotest.test_case "daemon lifecycle" `Slow test_e2e ]);
+      ("restart", [ Alcotest.test_case "warmth survives restart" `Slow test_restart ]);
     ]

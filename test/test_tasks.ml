@@ -1,6 +1,7 @@
 (* Tests for the Appendix B benchmark suite: completeness, per-task sizes
-   against the paper's size column, and non-triviality of every ground
-   truth on its generated dataset. *)
+   against the paper's size column, non-triviality of every ground truth
+   on its generated dataset, and that every ground truth lies inside the
+   synthesizer's default search space. *)
 
 module Task = Imageeye_tasks.Task
 module Benchmarks = Imageeye_tasks.Benchmarks
@@ -110,6 +111,50 @@ let test_ground_truths_nontrivial () =
         true some_object_untouched)
     Benchmarks.all
 
+(* Every ground truth lies inside the default search space: its guard is
+   within [max_size], every Union/Intersect has at most [max_operands]
+   operands, and every age constant is one of [age_thresholds].  A
+   default lowered below a target makes that task unsolvable by
+   construction; this fails first. *)
+let test_ground_truths_in_search_space () =
+  let config = Imageeye_core.Synthesizer.default_config in
+  List.iter
+    (fun task ->
+      let where = Printf.sprintf "task %d" task.Task.id in
+      let check_pred = function
+        | Imageeye_core.Pred.Below_age n | Imageeye_core.Pred.Above_age n ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: age %d in age_thresholds" where n)
+              true
+              (List.mem n config.age_thresholds)
+        | _ -> ()
+      in
+      let rec check_extractor (e : Imageeye_core.Lang.extractor) =
+        match e with
+        | All -> ()
+        | Is p -> check_pred p
+        | Complement e -> check_extractor e
+        | Union es | Intersect es ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: arity %d within max_operands %d" where (List.length es)
+                 config.max_operands)
+              true
+              (List.length es <= config.max_operands);
+            List.iter check_extractor es
+        | Find (e, p, _) | Filter (e, p) ->
+            check_pred p;
+            check_extractor e
+      in
+      List.iter
+        (fun (guard, _) ->
+          let size = Imageeye_core.Lang.size guard in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: size %d within max_size %d" where size config.max_size)
+            true (size <= config.max_size);
+          check_extractor guard)
+        task.Task.ground_truth)
+    Benchmarks.all
+
 let test_descriptions_present () =
   List.iter
     (fun t ->
@@ -173,6 +218,8 @@ let () =
           Alcotest.test_case "single action each" `Quick test_every_task_has_single_action;
           Alcotest.test_case "descriptions present" `Quick test_descriptions_present;
           Alcotest.test_case "ground truths non-trivial" `Slow test_ground_truths_nontrivial;
+          Alcotest.test_case "ground truths in search space" `Quick
+            test_ground_truths_in_search_space;
         ] );
       ( "random",
         [

@@ -1,10 +1,11 @@
-(* Tests for imageeye_util: deterministic RNG, bitsets and the statistics
-   toolkit. *)
+(* Tests for imageeye_util: deterministic RNG, bitsets, the statistics
+   toolkit and atomic file writes. *)
 
 module Rng = Imageeye_util.Rng
 module Bitset = Imageeye_util.Bitset
 module Stats = Imageeye_util.Stats
 module Tablefmt = Imageeye_util.Tablefmt
+module Fileio = Imageeye_util.Fileio
 
 (* ---------- Rng ---------- *)
 
@@ -329,6 +330,51 @@ let test_fmt_float () =
   Alcotest.(check string) "one decimal" "1.5" (Tablefmt.fmt_float 1.49999999);
   Alcotest.(check string) "two decimals" "1.23" (Tablefmt.fmt_float ~decimals:2 1.234)
 
+(* ---------- Fileio ---------- *)
+
+let temp_dir () =
+  let path = Filename.temp_file "imageeye-fileio" "" in
+  Sys.remove path;
+  Unix.mkdir path 0o700;
+  path
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Unix.rmdir dir
+  end
+
+let test_write_atomic_basic () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "out.txt" in
+  Fileio.write_atomic_string path "first";
+  Alcotest.(check string) "written" "first" (read_file path);
+  Fileio.write_atomic_string path "second";
+  Alcotest.(check string) "replaced" "second" (read_file path);
+  Alcotest.(check (list string)) "no temp litter" [ "out.txt" ]
+    (Array.to_list (Sys.readdir dir));
+  rm_rf dir
+
+(* A write killed partway (the writer raises mid-stream) must leave the
+   original file byte-identical and no temporary behind. *)
+let test_write_atomic_interrupted () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "out.txt" in
+  Fileio.write_atomic_string path "precious original";
+  (match
+     Fileio.write_atomic path (fun oc ->
+         output_string oc "half a replace";
+         raise Exit)
+   with
+  | () -> Alcotest.fail "interrupted write reported success"
+  | exception Exit -> ());
+  Alcotest.(check string) "original intact" "precious original" (read_file path);
+  Alcotest.(check (list string)) "no temp litter" [ "out.txt" ]
+    (Array.to_list (Sys.readdir dir));
+  rm_rf dir
+
 let () =
   Alcotest.run "util"
     [
@@ -375,5 +421,11 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "bar chart" `Quick test_bar_chart;
           Alcotest.test_case "fmt_float" `Quick test_fmt_float;
+        ] );
+      ( "fileio",
+        [
+          Alcotest.test_case "atomic write" `Quick test_write_atomic_basic;
+          Alcotest.test_case "interrupted write keeps original" `Quick
+            test_write_atomic_interrupted;
         ] );
     ]
