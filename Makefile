@@ -84,14 +84,17 @@ stream-smoke: build
 # The benchmark's own output checks on one stream pass (every frame
 # streamed, the recorded edit digest, no mismatch after the last repair),
 # one serve pass (synthesize over the wire on all three domains, every
-# returned program checked against its demonstrations) and one sweep pass
+# returned program checked against its demonstrations), one sweep pass
 # (every solved program replayed on the task's full dataset, so the
-# search's worklist and fwd-bwd fixpoint run end to end).  It fails only
+# search's worklist and fwd-bwd fixpoint run end to end) and one
+# sweep-optimal pass (every minimized program replayed the same way, so
+# the optimal search's cost-bound hooks run end to end).  It fails only
 # when perfbench exits non-zero; timings are printed, not gated.
 perfbench-smoke:
 	bash perfbench/run.sh --workload stream --seconds 1
 	bash perfbench/run.sh --workload serve --seconds 1
 	bash perfbench/run.sh --workload sweep --seconds 1
+	bash perfbench/run.sh --workload sweep-optimal --seconds 1
 
 check: build test smoke ablation-smoke optimal-smoke stream-smoke
 	@echo "check OK"

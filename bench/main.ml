@@ -657,6 +657,55 @@ let micro () =
   let gt_edit = Imageeye_core.Edit.induced_by_program u task1.Task.ground_truth in
   let spec = Imageeye_core.Edit.Spec.make u [ (0, gt_edit) ] in
   let cfg = { base_config with timeout_s = 5.0 } in
+  (* The per-candidate layers' own inputs: every candidate that a search
+     for task 1's target over [u] generates in its first 2,000 pops (the
+     [admit] hook sees each one before any evaluation), partially
+     evaluated as the pipeline does.  With hooks the search runs past its
+     solutions to the pop cap. *)
+  let candidates =
+    let module Engine_search = Imageeye_core.Engine_search in
+    let generated = ref [] in
+    let hooks =
+      {
+        Engine_search.admit = (fun p -> generated := p :: !generated; true);
+        on_solution = (fun _ -> `Continue);
+        should_stop = (fun () -> false);
+      }
+    in
+    let target = Imageeye_core.Eval.extractor u (fst (List.hd task1.Task.ground_truth)) in
+    ignore
+      (Engine_search.search ~config:{ cfg with max_expansions = 2_000 } ~limit:1 ~hooks u target);
+    List.filter_map
+      (fun p ->
+        Option.map
+          (fun form -> { Imageeye_core.Prune.partial = p; form = Some form })
+          (Imageeye_core.Peval.run ~check_goals:true ~collapse:true u p))
+      (List.rev !generated)
+  in
+  let forms =
+    List.filter_map (fun c -> c.Imageeye_core.Prune.form) candidates
+  in
+  let dedup_ctx =
+    {
+      Imageeye_core.Prune.u;
+      eval_is = (fun _ -> Imageeye_symbolic.Simage.empty u);
+      goal_checks = true;
+      collapse = true;
+      absint = None;
+    }
+  in
+  (* Every entity of a small Receipts batch (faces, text of every format,
+     things) against its whole vocabulary. *)
+  let receipts_u =
+    Imageeye_vision.Batch.universe_of_scenes
+      (Dataset.generate ~n_images:4 ~seed Dataset.Receipts).scenes
+  in
+  let receipts_entities = Imageeye_symbolic.Universe.entities receipts_u in
+  let receipts_preds =
+    Imageeye_core.Vocab.predicates (Imageeye_core.Vocab.of_universe receipts_u)
+  in
+  say "  (%d candidates, %d forms; %d entities x %d predicates)" (List.length candidates)
+    (List.length forms) (List.length receipts_entities) (List.length receipts_preds);
   let tests =
     [
       Test.make ~name:"table1/dataset-generation"
@@ -704,6 +753,18 @@ let micro () =
                 (Imageeye_util.Bitset.subset
                    (Imageeye_util.Bitset.inter a b)
                    (Imageeye_util.Bitset.union a b))));
+      Test.make ~name:"component/rewrite-reducible"
+        (Staged.stage (fun () ->
+             List.iter (fun f -> ignore (Imageeye_core.Rewrite.reducible f)) forms));
+      Test.make ~name:"component/dedup-seen"
+        (Staged.stage (fun () ->
+             let check = Imageeye_core.Prune.equiv_dedup.Imageeye_core.Prune.fresh () in
+             List.iter (fun c -> ignore (check dedup_ctx c)) candidates));
+      Test.make ~name:"component/pred-entails"
+        (Staged.stage (fun () ->
+             List.iter
+               (fun e -> List.iter (fun p -> ignore (Imageeye_core.Pred.entails e p)) receipts_preds)
+               receipts_entities));
       Test.make ~name:"component/pqueue-push-pop"
         (Staged.stage (fun () ->
              (* The search's own worklist: 256 pushes over 17 sizes, then a

@@ -1119,10 +1119,13 @@ let loadgen socket port endpoints concurrency requests task images demo_images s
     "loadgen: %d request(s), concurrency %d: %d success, %d timeout, %d failed, %d transport error(s)\n"
     requests concurrency (by_outcome "success") (by_outcome "timeout") (List.length failures)
     (List.length !errors);
-  Printf.printf "  wall %.2fs  throughput %.1f req/s  p50 %.4fs  p95 %.4fs  p99 %.4fs\n" wall
-    (float_of_int (List.length done_) /. wall)
-    (Metrics.quantile all_sorted 0.50) (Metrics.quantile all_sorted 0.95)
-    (Metrics.quantile all_sorted 0.99);
+  (* Latency quantiles of nothing would read 0. *)
+  if done_ = [] then Printf.printf "  wall %.2fs  no request completed\n" wall
+  else
+    Printf.printf "  wall %.2fs  throughput %.1f req/s  p50 %.4fs  p95 %.4fs  p99 %.4fs\n" wall
+      (float_of_int (List.length done_) /. wall)
+      (Metrics.quantile all_sorted 0.50) (Metrics.quantile all_sorted 0.95)
+      (Metrics.quantile all_sorted 0.99);
   Array.iter
     (fun op ->
       let of_op = List.filter (fun s -> s.op = op) done_ in

@@ -173,55 +173,28 @@ let instantiations tiers ~max_operands ~child_goal ~feasible ~delta goal =
 (* Replace the leftmost hole of [root] with each instantiation whose size
    increment is [delta]; None when [root] is complete. *)
 let expand instantiate ~delta root =
-  (* A hole's goal may have been tightened by the forward-backward
-     analysis when this candidate (or an ancestor candidate sharing the
-     hole node) was considered; the per-hole map is cached on the
-     candidate root (the only per-candidate node that is never physically
-     shared).  It overrides the filled hole's inferred goal everywhere:
-     instantiation feasibility, the new node's annotation, and its
-     children's inferred goals — and is inherited by the derived
-     candidates so the entries for their surviving holes keep applying. *)
-  let rec go (p : Partial.t) =
-    match p.node with
-    | Partial.Hole ->
-        let goal =
-          match Partial.tight_for root ~hole:p with Some g -> g | None -> p.goal
-        in
-        Some (instantiate ~delta goal)
-    | Partial.All | Partial.Is _ -> None
-    (* Spine nodes above the hole are rebuilt fresh (empty memo slot);
-       unchanged sibling subtrees are shared physically, which is what
-       lets their memos pay off across all candidates. *)
-    | Partial.Complement q ->
-        Option.map (List.map (fun q' -> Partial.make p.goal (Partial.Complement q'))) (go q)
-    | Partial.Union qs ->
-        Option.map
-          (List.map (fun qs' -> Partial.make p.goal (Partial.Union qs')))
-          (go_list qs)
-    | Partial.Intersect qs ->
-        Option.map
-          (List.map (fun qs' -> Partial.make p.goal (Partial.Intersect qs')))
-          (go_list qs)
-    | Partial.Find (q, pr, f) ->
-        Option.map
-          (List.map (fun q' -> Partial.make p.goal (Partial.Find (q', pr, f))))
-          (go q)
-    | Partial.Filter (q, pr) ->
-        Option.map
-          (List.map (fun q' -> Partial.make p.goal (Partial.Filter (q', pr))))
-          (go q)
-  and go_list = function
-    | [] -> None
-    | q :: rest -> (
-        match go q with
-        | Some qs' -> Some (List.map (fun q' -> q' :: rest) qs')
-        | None -> Option.map (List.map (fun rest' -> q :: rest')) (go_list rest))
-  in
-  Option.map
-    (List.map (fun c ->
-         Partial.inherit_tight ~from:root c;
-         c))
-    (go root)
+  match Partial.leftmost_hole root with
+  | None -> None
+  | Some (hole, path) ->
+      (* A hole's goal may have been tightened by the forward-backward
+         analysis when this candidate (or an ancestor candidate sharing
+         the hole node) was considered; the per-hole map is cached on the
+         candidate root (the only per-candidate node that is never
+         physically shared).  It overrides the filled hole's inferred
+         goal everywhere: instantiation feasibility, the new node's
+         annotation, and its children's inferred goals — and is inherited
+         by the derived candidates so the entries for their surviving
+         holes keep applying. *)
+      let goal =
+        match Partial.tight_for root ~hole with Some g -> g | None -> hole.Partial.goal
+      in
+      Some
+        (List.map
+           (fun filled ->
+             let c = List.fold_right (fun step child -> step child) path filled in
+             Partial.inherit_tight ~from:root c;
+             c)
+           (instantiate ~delta goal))
 
 let const_solved_label = Prune.partial_eval.Prune.name ^ "(const-solved)"
 
@@ -333,8 +306,7 @@ let search ~config ~limit ?hooks ?sink u i_out =
         Peval.run ~eval_is:ctx.Prune.eval_is ?cache ~check_goals:ctx.Prune.goal_checks
           ~collapse:ctx.Prune.collapse u p'
       in
-      let extractor = Partial.to_extractor p' in
-      let complete = extractor <> None in
+      let complete = Partial.is_complete p' in
       let cand = { Prune.partial = p'; form } in
       let rec gate = function
         | [] -> None
@@ -348,7 +320,7 @@ let search ~config ~limit ?hooks ?sink u i_out =
       match gate checks with
       | Some pass_name -> Events.record ev (Events.Pruned pass_name)
       | None -> (
-          match extractor with
+          match if complete then Partial.to_extractor p' else None with
           | Some e ->
               (* A complete candidate is either an answer or dead. *)
               let value =

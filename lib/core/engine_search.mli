@@ -96,6 +96,17 @@ val empty_stats : stats
 val add_stats : stats -> stats -> stats
 (** Field-wise sum; [prune_counts] are merged by label. *)
 
+val expand :
+  (delta:int -> Goal.t -> Partial.t list) -> delta:int -> Partial.t -> Partial.t list option
+(** [expand instantiate ~delta root] replaces the leftmost hole of [root]
+    with each of [instantiate ~delta goal], in order, where [goal] is the
+    hole's tightened goal from [root]'s tight map if it has one, its
+    inferred goal otherwise; [None] when [root] is complete.  The spine
+    from the root to the hole is rebuilt with empty memo slots, every
+    other subtree is shared physically, and each candidate inherits
+    [root]'s tight map.  {!search} is its only caller; it is exported so
+    the test suite can check it against a reference implementation. *)
+
 type hooks = {
   admit : Partial.t -> bool;
       (** vets every freshly generated candidate before any evaluation

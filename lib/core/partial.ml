@@ -35,15 +35,25 @@ let inherit_tight ~from t = if from.tight <> [] then t.tight <- from.tight
 
 let rec leftmost_hole t =
   match t.node with
-  | Hole -> Some t
+  | Hole -> Some (t, [])
   | All | Is _ -> None
-  | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> leftmost_hole t1
-  | Union ts | Intersect ts -> List.find_map leftmost_hole ts
+  | Complement q -> under q (fun c -> make t.goal (Complement c))
+  | Find (q, p, f) -> under q (fun c -> make t.goal (Find (c, p, f)))
+  | Filter (q, p) -> under q (fun c -> make t.goal (Filter (c, p)))
+  | Union qs -> among [] qs (fun qs -> make t.goal (Union qs))
+  | Intersect qs -> among [] qs (fun qs -> make t.goal (Intersect qs))
 
-let hole_goal t =
-  match leftmost_hole t with
-  | None -> t.goal
-  | Some h -> ( match tight_for t ~hole:h with Some g -> g | None -> h.goal)
+and under q step =
+  match leftmost_hole q with Some (h, path) -> Some (h, step :: path) | None -> None
+
+(* [left] holds the operands before [q :: right], reversed. *)
+and among left qs mk =
+  match qs with
+  | [] -> None
+  | q :: right -> (
+      match leftmost_hole q with
+      | Some (h, path) -> Some (h, (fun c -> mk (List.rev_append left (c :: right))) :: path)
+      | None -> among (q :: left) right mk)
 
 let rec of_extractor goal (e : Lang.extractor) =
   let child = of_extractor goal in
@@ -100,15 +110,6 @@ let rec depth t =
   | Hole | All | Is _ -> 1
   | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> 1 + depth t1
   | Union ts | Intersect ts -> 1 + List.fold_left (fun acc t -> max acc (depth t)) 0 ts
-
-let rec count_holes t =
-  match t.node with
-  | Hole -> 1
-  | All | Is _ -> 0
-  | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> count_holes t1
-  | Union ts | Intersect ts -> List.fold_left (fun acc t -> acc + count_holes t) 0 ts
-
-let has_hole t = count_holes t > 0
 
 let rec pp fmt t =
   match t.node with

@@ -80,14 +80,14 @@ val inherit_tight : from:t -> t -> unit
     are a subset).  Entries for the hole the expansion filled simply
     never match again. *)
 
-val leftmost_hole : t -> t option
-(** The first hole in left-to-right order — the one expansion fills. *)
-
-val hole_goal : t -> Goal.t
-(** The goal the next expansion of this candidate's leftmost hole should
-    use: the tightened one when an analysis recorded one for it, the
-    inferred one otherwise.  [t] is the candidate root, not the hole
-    node itself. *)
+val leftmost_hole : t -> (t * (t -> t) list) option
+(** The first hole in left-to-right order — the one expansion fills —
+    and the spine from [t] down to it as one rebuild step per level,
+    outermost first.  A step wraps the level's new child in a fresh node
+    (empty memo slot) with the level's goal and its other operands as
+    they are, so [List.fold_right (fun step c -> step c) path filled] is
+    [t] with the hole replaced by [filled], every off-spine subtree
+    shared physically. *)
 
 val of_extractor : Goal.t -> Lang.extractor -> t
 (** Embed a complete extractor, annotating every node with the same goal;
@@ -105,10 +105,6 @@ val size : t -> int
     order of final size). *)
 
 val depth : t -> int
-
-val has_hole : t -> bool
-
-val count_holes : t -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,4 +1,3 @@
-module Attr = Imageeye_symbolic.Attr
 module Entity = Imageeye_symbolic.Entity
 
 type t =
@@ -49,31 +48,28 @@ let is_phone_string s =
   | [ 3; 4 ] | [ 3; 3; 4 ] -> List.for_all all_digits groups
   | _ -> false
 
-let bool_attr e name =
-  match Attr.find name (Entity.attrs e) with Some (Attr.Bool b) -> b | _ -> false
-
-let int_attr e name =
-  match Attr.find name (Entity.attrs e) with Some (Attr.Int i) -> Some i | _ -> None
-
-let str_attr e name =
-  match Attr.find name (Entity.attrs e) with Some (Attr.Str s) -> Some s | _ -> None
-
-let entails e p =
-  match p with
-  | Face_object -> Entity.is_face e
-  | Face n -> int_attr e Attr.face_id = Some n
-  | Smiling -> bool_attr e Attr.smiling
-  | Eyes_open -> bool_attr e Attr.eyes_open
-  | Mouth_open -> bool_attr e Attr.mouth_open
-  | Below_age n -> ( match int_attr e Attr.age_high with Some hi -> hi < n | None -> false)
-  | Above_age n -> ( match int_attr e Attr.age_low with Some lo -> lo > n | None -> false)
-  | Text_object -> Entity.is_text e
-  | Word w -> str_attr e Attr.text_body = Some w
-  | Phone_number -> (
-      match str_attr e Attr.text_body with Some s -> is_phone_string s | None -> false)
-  | Price -> (
-      match str_attr e Attr.text_body with Some s -> is_price_string s | None -> false)
-  | Object cls -> ( match e.Entity.kind with Entity.Thing c -> c = cls | _ -> false)
+(* o ⊨ φ reads the attribute φ names off the entity's kind; an attribute
+   the kind does not carry (a face predicate on text, [Object] on a face)
+   is absent, and entailment fails. *)
+let entails (e : Entity.t) p =
+  match (p, e.Entity.kind) with
+  | Face_object, Entity.Face _ -> true
+  | Face n, Entity.Face f -> f.Entity.face_id = n
+  | Smiling, Entity.Face f -> f.Entity.smiling
+  | Eyes_open, Entity.Face f -> f.Entity.eyes_open
+  | Mouth_open, Entity.Face f -> f.Entity.mouth_open
+  | Below_age n, Entity.Face f -> f.Entity.age_high < n
+  | Above_age n, Entity.Face f -> f.Entity.age_low > n
+  | Text_object, Entity.Text _ -> true
+  | Word w, Entity.Text body -> String.equal body w
+  | Phone_number, Entity.Text body -> is_phone_string body
+  | Price, Entity.Text body -> is_price_string body
+  | Object cls, Entity.Thing c -> String.equal c cls
+  | ( (Face_object | Face _ | Smiling | Eyes_open | Mouth_open | Below_age _ | Above_age _),
+      (Entity.Text _ | Entity.Thing _) )
+  | (Text_object | Word _ | Phone_number | Price), (Entity.Face _ | Entity.Thing _)
+  | Object _, (Entity.Face _ | Entity.Text _) ->
+      false
 
 let size = function
   | Face_object | Smiling | Eyes_open | Mouth_open | Text_object | Phone_number | Price -> 1

@@ -1,7 +1,8 @@
 (** DSL predicates φ and the entailment relation o ⊨ φ (Fig. 5).
 
     Each predicate mirrors one of the neural attributes of Appendix C: it
-    reads the attribute map Φ written by the (simulated) vision models.
+    reads the attribute it names off the entity's typed [kind], which the
+    (simulated) vision models write and which is the paper's map Φ.
     [Phone_number] and [Price] are the paper's format matchers over
     recognized text. *)
 
@@ -20,8 +21,9 @@ type t =
   | Object of string  (** object classifier class, e.g. [Object "cat"] *)
 
 val entails : Imageeye_symbolic.Entity.t -> t -> bool
-(** The o ⊨ R(C) relation of Fig. 5: true iff the relevant attribute is in
-    Domain(o.Φ) and has the required value. *)
+(** The o ⊨ R(C) relation of Fig. 5: true iff the entity's kind carries
+    the relevant attribute and it has the required value (a face predicate
+    never holds of text, [Object] never of a face, and so on). *)
 
 val size : t -> int
 (** AST-node count: 1 for nullary predicates, 2 for parameterized ones

@@ -1,107 +1,100 @@
 module Simage = Imageeye_symbolic.Simage
 open Peval.Form
 
-(* Atomic so Domain-parallel searches don't lose ticks. *)
-let checks = Atomic.make 0
-
-let count_checks () = Atomic.get checks
-
-let rec has_hole = function
-  | Hole -> true
-  | Const _ | All | Is _ -> false
-  | Complement t | Find (t, _, _) | Filter (t, _) -> has_hole t
-  | Union ts | Intersect ts -> List.exists has_hole ts
-
 (* Structural equality that never equates terms containing holes: two holes
    may be completed differently, so they match no rewrite rule. *)
-let definitely_equal a b = (not (has_hole a)) && (not (has_hole b)) && equal a b
+let rec same a b =
+  match (a, b) with
+  | Hole, _ | _, Hole -> false
+  | Const x, Const y -> Simage.equal x y
+  | All, All -> true
+  | Is p, Is q -> Pred.equal p q
+  | Complement x, Complement y -> same x y
+  | Union xs, Union ys | Intersect xs, Intersect ys -> same_list xs ys
+  | Find (x, p, f), Find (y, q, g) -> Pred.equal p q && Func.equal f g && same x y
+  | Filter (x, p), Filter (y, q) -> Pred.equal p q && same x y
+  | _ -> false
 
+and same_list xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> same x y && same_list xs ys
+  | _ -> false
+
+let rec mem_same a = function [] -> false | m :: ms -> same a m || mem_same a ms
+
+let rec share ms ms' = match ms with [] -> false | m :: ms -> mem_same m ms' || share ms ms'
+
+(* The members of an operand of the dual operator ([Intersect] inside a
+   [Union], and vice versa); [] for any other operand. *)
+let dual_members ~union = function
+  | Intersect ms when union -> ms
+  | Union ms when not union -> ms
+  | _ -> []
+
+(* The rules between two distinct operands [a] and [b], in both orders:
+   - domination among constants (Example 5.11): for Union, an operand that
+     is a subset of another is redundant; for Intersect, a superset is;
+   - idempotence: identical hole-free operands (the syntactic-mode
+     analogue of domination);
+   - absorption: one operand occurs inside the other, an operand of the
+     dual operator, e.g. Union(A, Intersect(A, B));
+   - distribution: both are operands of the dual operator with a common
+     member, e.g. Union(Intersect(A, B), Intersect(A, C)). *)
+let pair_matches ~union a b =
+  (match (a, b) with
+  | Const va, Const vb -> Simage.subset va vb || Simage.subset vb va
+  | _ -> false)
+  || same a b
+  ||
+  let ma = dual_members ~union a and mb = dual_members ~union b in
+  mem_same a mb || mem_same b ma || share ma mb
+
+let rec against ~union a = function
+  | [] -> false
+  | b :: bs -> pair_matches ~union a b || against ~union a bs
+
+let rec any_pair ~union = function
+  | [] -> false
+  | a :: rest -> against ~union a rest || any_pair ~union rest
+
+(* Associativity: a directly nested operand of the same operator (the
+   flattened form is smaller). *)
+let rec nested ~union = function
+  | [] -> false
+  | (Union _ :: _) when union -> true
+  | (Intersect _ :: _) when not union -> true
+  | _ :: xs -> nested ~union xs
+
+(* Commutativity: only the canonical operand order is kept. *)
 let rec sorted_operands = function
   | [] | [ _ ] -> true
   | a :: (b :: _ as rest) -> compare a b <= 0 && sorted_operands rest
 
-let exists_pair p xs =
-  List.exists (fun (i, a) -> List.exists (fun (j, b) -> i <> j && p a b) xs) xs
+(* De Morgan: every operand is a complement. *)
+let rec all_complements = function
+  | [] -> true
+  | Complement _ :: xs -> all_complements xs
+  | _ -> false
 
-let indexed xs = List.mapi (fun i x -> (i, x)) xs
+let operands_match ~union xs =
+  nested ~union xs
+  || (not (sorted_operands xs))
+  || all_complements xs
+  || any_pair ~union xs
 
-let const_value = function Const v -> Some v | _ -> None
-
-(* Domination among constant operands (Example 5.11): for Union, an operand
-   that is a subset of another is redundant; for Intersect, a superset is. *)
-let const_domination xs =
-  exists_pair
-    (fun a b ->
-      match (const_value a, const_value b) with
-      | Some va, Some vb -> Simage.subset va vb
-      | _ -> false)
-    (indexed xs)
-
-let is_union = function Union _ -> true | _ -> false
-let is_intersect = function Intersect _ -> true | _ -> false
-let is_complement = function Complement _ -> true | _ -> false
-
-(* Absorption: some operand also occurs inside a sibling operand of the dual
-   operator, e.g. Union(A, Intersect(A, B)). *)
-let absorption ~dual_members xs =
-  let member_of a b =
-    match dual_members b with
-    | Some members -> List.exists (definitely_equal a) members
-    | None -> false
-  in
-  exists_pair member_of (indexed xs)
-
-(* Distribution: two operands of the dual operator share a common member,
-   e.g. Union(Intersect(A, B), Intersect(A, C)). *)
-let distribution ~dual_members xs =
-  let duals = List.filter_map dual_members xs in
-  let share ms ms' = List.exists (fun a -> List.exists (definitely_equal a) ms') ms in
-  let rec pairs = function
-    | [] -> false
-    | ms :: rest -> List.exists (share ms) rest || pairs rest
-  in
-  pairs duals
-
-let intersect_members = function Intersect ms -> Some ms | _ -> None
-let union_members = function Union ms -> Some ms | _ -> None
-
-(* Identical hole-free operands: idempotence (the syntactic-mode analogue of
-   constant domination). *)
-let syntactic_idempotence xs = exists_pair definitely_equal (indexed xs)
-
-let rule_matches t =
-  match t with
-  | Hole | Const _ | All | Is _ -> false
+let rule_matches = function
   | Complement (Complement _) -> true
-  | Complement _ -> false
-  | Union xs ->
-      List.exists is_union xs (* associativity: flattened form is smaller *)
-      || (not (sorted_operands xs)) (* commutativity: canonical order only *)
-      || const_domination xs
-      || syntactic_idempotence xs
-      || absorption ~dual_members:intersect_members xs
-      || List.for_all is_complement xs (* De Morgan *)
-      || distribution ~dual_members:intersect_members xs
-  | Intersect xs ->
-      List.exists is_intersect xs
-      || (not (sorted_operands xs))
-      || const_domination xs
-      || syntactic_idempotence xs
-      || absorption ~dual_members:union_members xs
-      || List.for_all is_complement xs
-      || distribution ~dual_members:union_members xs
-  | Find _ | Filter _ -> false
+  | Union xs -> operands_match ~union:true xs
+  | Intersect xs -> operands_match ~union:false xs
+  | Hole | Const _ | All | Is _ | Complement _ | Find _ | Filter _ -> false
 
 (* The Rec rule of Fig. 14: a term is reducible if any subterm matches a
    rewrite rule. *)
-let rec reducible_rec t =
+let rec reducible t =
   rule_matches t
   ||
   match t with
   | Hole | Const _ | All | Is _ -> false
-  | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> reducible_rec t1
-  | Union ts | Intersect ts -> List.exists reducible_rec ts
-
-let reducible t =
-  Atomic.incr checks;
-  reducible_rec t
+  | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> reducible t1
+  | Union ts | Intersect ts -> List.exists reducible ts

@@ -21,7 +21,3 @@
     purposes, since their completions may differ. *)
 
 val reducible : Peval.Form.t -> bool
-
-val count_checks : unit -> int
-(** Number of [reducible] invocations since program start
-    (instrumentation for benchmarks). *)

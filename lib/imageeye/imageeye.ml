@@ -34,7 +34,6 @@ module Ops = Imageeye_raster.Ops
 
 (** {1 Symbolic images (Definition 3.1)} *)
 
-module Attr = Imageeye_symbolic.Attr
 module Entity = Imageeye_symbolic.Entity
 module Universe = Imageeye_symbolic.Universe
 module Simage = Imageeye_symbolic.Simage

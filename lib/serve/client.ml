@@ -68,8 +68,8 @@ let send_line t json =
    dripping bytes mid-response, costs at most the frame cap / deadline
    instead of the client's address space.  After an over-limit error the
    stream position is unknown, so callers should close the connection. *)
-let read_response t =
-  match Frame.read_line t.frame with
+let read_response ?deadline t =
+  match Frame.read_line ?deadline t.frame with
   | Ok line -> (
       match Jsonin.parse line with
       | Ok doc -> Ok doc
@@ -80,17 +80,20 @@ let read_response t =
 let rpc_json t json =
   match send_line t json with Error _ as e -> e | Ok () -> read_response t
 
-let rpc_raw t raw =
+let rpc_raw ?deadline t raw =
   let line = if String.length raw > 0 && raw.[String.length raw - 1] = '\n' then raw else raw ^ "\n" in
   match write_all t.fd line 0 (String.length line) with
-  | () -> read_response t
+  | () -> read_response ?deadline t
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "write failed: %s" (Unix.error_message e))
 
-let rpc t request =
+let rpc ?deadline t request =
   let id = t.next_id in
   t.next_id <- id + 1;
-  match rpc_json t (Protocol.to_json ~id:(J.Int id) request) with
+  match
+    Result.bind (send_line t (Protocol.to_json ~id:(J.Int id) request)) (fun () ->
+        read_response ?deadline t)
+  with
   | Error _ as e -> e
   | Ok response -> (
       match Jsonin.member "id" response with

@@ -36,21 +36,28 @@ val connect_retry :
 
 val close : t -> unit
 
-val rpc : t -> Protocol.request -> (J.t, string) result
+val rpc : ?deadline:float -> t -> Protocol.request -> (J.t, string) result
 (** Send one request (with a fresh integer id) and wait for its
     response.  [Error] covers transport failures and responses whose id
     does not match — protocol-level failures come back as [Ok] responses
-    with ["ok": false]. *)
+    with ["ok": false].  [deadline] ({!Frame.read_line}) bounds the wait
+    for the response; by default only the mid-frame deadline applies. *)
 
 val rpc_json : t -> J.t -> (J.t, string) result
 (** Escape hatch: send a raw JSON document as one line (used to test the
     server's malformed-request handling end to end). *)
 
-val rpc_raw : t -> string -> (J.t, string) result
+val rpc_raw : ?deadline:float -> t -> string -> (J.t, string) result
 (** Sharper escape hatch: send arbitrary bytes as one line (a newline is
     appended unless present) and wait for one response line — the
     [imageeye client raw] adversarial probe and the fault harness use
-    this to hit the framing and parsing limits on purpose. *)
+    this to hit the framing and parsing limits on purpose, and the
+    router forwards requests with it.  [deadline] as for {!rpc}. *)
+
+val read_response : ?deadline:float -> t -> (J.t, string) result
+(** Wait for one more response line on the connection, as the end of
+    {!rpc_raw} does; the router resumes a forwarded request's wait with
+    it after each liveness check of its worker. *)
 
 val is_ok : J.t -> bool
 (** ["ok"] is [true] in the response. *)

@@ -30,7 +30,7 @@ let take_line t newline_at =
   t.frame_started <- (if rest_len = 0 then None else Some (Clock.counter ()));
   line
 
-let rec read_line t =
+let rec read_line ?deadline t =
   match String.index_opt t.pending '\n' with
   | Some i when i <= t.limits.max_line_bytes -> Ok (take_line t i)
   | Some i -> Error (Line_too_long i)
@@ -42,9 +42,21 @@ let rec read_line t =
         | None, _ | _, None -> (-1.0, false) (* no deadline, or idle between frames *)
         | Some budget, Some started -> (budget -. Clock.elapsed_s started, true)
       in
+      (* A caller's deadline bounds the wait between frames too. *)
+      let timeout, deadline_active =
+        match deadline with
+        | None -> (timeout, deadline_active)
+        | Some d ->
+            let left = d -. Clock.now () in
+            ((if deadline_active then Float.min timeout left else left), true)
+      in
       if deadline_active && timeout <= 0.0 then Error Read_timeout
       else
         match Unix.select [ t.fd ] [] [] timeout with
+        (* Under a caller's deadline, re-check the clock: [Read_timeout]
+           then means the deadline has passed, even if [select] rounded
+           its wait down. *)
+        | [], _, _ when deadline <> None -> read_line ?deadline t
         | [], _, _ -> Error Read_timeout
         | _ :: _, _, _ -> (
             match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
@@ -52,15 +64,15 @@ let rec read_line t =
             | n ->
                 t.pending <- t.pending ^ Bytes.sub_string t.chunk 0 n;
                 if t.frame_started = None then t.frame_started <- Some (Clock.counter ());
-                read_line t
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line t
+                read_line ?deadline t
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line ?deadline t
             | exception Unix.Unix_error (e, _, _) -> Error (Io_error (Unix.error_message e))
             | exception Sys_error msg -> Error (Io_error msg))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line t
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line ?deadline t
         | exception Unix.Unix_error (e, _, _) -> Error (Io_error (Unix.error_message e)))
 
 let error_to_string = function
   | Eof -> "end of stream"
   | Line_too_long n -> Printf.sprintf "frame exceeds line limit (%d bytes buffered)" n
-  | Read_timeout -> "read deadline exceeded mid-frame"
+  | Read_timeout -> "read deadline exceeded"
   | Io_error msg -> Printf.sprintf "io error: %s" msg

@@ -31,7 +31,7 @@ val default_limits : limits
 type error =
   | Eof  (** orderly close; any trailing partial frame is dropped *)
   | Line_too_long of int  (** bytes buffered when the limit tripped *)
-  | Read_timeout
+  | Read_timeout  (** the mid-frame deadline or the caller's [deadline] passed *)
   | Io_error of string  (** connection-level failure, e.g. [ECONNRESET] *)
 
 type t
@@ -40,8 +40,12 @@ val create : ?limits:limits -> Unix.file_descr -> t
 (** One framer per connection; it owns read-side buffering for the
     descriptor (do not also read from the fd directly). *)
 
-val read_line : t -> (string, error) result
+val read_line : ?deadline:float -> t -> (string, error) result
 (** Blocks until one whole frame, EOF, or a limit trips.  Returned
-    frames never contain the terminating newline. *)
+    frames never contain the terminating newline.  [deadline] is an
+    instant on the {!Imageeye_util.Clock.now} scale by which the whole
+    frame must have arrived, idle time before its first byte included;
+    past it the read fails with [Read_timeout].  Without it (the
+    daemon's reader) only the mid-frame deadline applies. *)
 
 val error_to_string : error -> string

@@ -104,9 +104,28 @@ let attempt_allowed state w =
   Mutex.unlock w.w_mutex;
   allowed
 
+(* How long the router waits on a worker before it asks whether the
+   worker is alive, and how long that question may take. *)
+let liveness_check_s = 1.0
+
+(* One rpc on a fresh connection, bounded by [liveness_check_s]: a live
+   daemon's reader answers [ping], [metrics] and [shutdown] at once,
+   whatever its job queue holds. *)
+let quick_rpc w request =
+  match Client.connect w.w_endpoint with
+  | exception _ -> Error "connect failed"
+  | c ->
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () -> Client.rpc ~deadline:(Clock.now () +. liveness_check_s) c request)
+
 (* One connection per forwarded request: worker responses can never be
    interleaved across router threads, and a broken worker surfaces as a
-   connect/rpc error right here. *)
+   connect/rpc error right here.  The answer may take as long as the
+   worker needs: its queue and the request's [timeout_s] are the
+   worker's to enforce.  But every [liveness_check_s] without an answer
+   the worker must answer a ping, so one that accepts and never answers
+   is lost after about twice that instead of pinning this thread. *)
 let forward state w ~raw =
   with_worker_slot state w (fun () ->
       match Client.connect w.w_endpoint with
@@ -115,11 +134,19 @@ let forward state w ~raw =
           Fun.protect
             ~finally:(fun () -> Client.close c)
             (fun () ->
-              match Client.rpc_raw c raw with
-              | Ok resp ->
-                  mark_live w;
-                  Ok resp
-              | Error msg -> Error msg))
+              let rec await read =
+                let deadline = Clock.now () +. liveness_check_s in
+                match read ~deadline with
+                | Ok resp ->
+                    mark_live w;
+                    Ok resp
+                | Error msg when Clock.now () < deadline -> Error msg
+                | Error _ ->
+                    if Result.is_ok (quick_rpc w Protocol.Ping) then
+                      await (fun ~deadline -> Client.read_response ~deadline c)
+                    else Error "no answer, and no answer to a ping"
+              in
+              await (fun ~deadline -> Client.rpc_raw ~deadline c raw)))
 
 (* Walk the ring's failover order; every skipped or failed candidate is
    a counted [worker-lost] fault (the degradation the operator sees). *)
@@ -180,15 +207,7 @@ let aggregate_metrics state =
     Ring.workers state.ring
     |> List.map (fun name ->
            let w = Hashtbl.find state.workers name in
-           let result =
-             match Client.connect w.w_endpoint with
-             | exception _ -> Error "connect failed"
-             | c ->
-                 Fun.protect
-                   ~finally:(fun () -> Client.close c)
-                   (fun () -> Client.rpc c Protocol.Metrics)
-           in
-           match result with
+           match quick_rpc w Protocol.Metrics with
            | Ok resp when Client.is_ok resp ->
                mark_live w;
                ( name,
@@ -220,13 +239,7 @@ let aggregate_metrics state =
 let broadcast_shutdown state =
   Ring.workers state.ring
   |> List.iter (fun name ->
-         let w = Hashtbl.find state.workers name in
-         match Client.connect w.w_endpoint with
-         | exception _ -> ()
-         | c ->
-             Fun.protect
-               ~finally:(fun () -> Client.close c)
-               (fun () -> ignore (Client.rpc c Protocol.Shutdown)))
+         ignore (quick_rpc (Hashtbl.find state.workers name) Protocol.Shutdown))
 
 (* Forward on the routing key, verbatim. *)
 let handle_keyed state ~id ~op ~key ~raw ~started =

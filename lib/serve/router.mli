@@ -19,10 +19,18 @@
     Worker loss degrades, never fails: a worker that cannot be reached
     is marked dead, the request re-hashes to the ring's next live worker
     (counted under [faults.worker-lost]), and a dead worker is re-probed
-    [retry_dead_s] after each failure until it answers.  Sessions pinned
-    to a lost worker return a [worker-lost] error.  Per-worker admission
-    is bounded: at most [worker_inflight] requests are in flight per
-    worker, further ones wait (backpressure, not queue growth).
+    [retry_dead_s] after each failure until it answers.  A worker that
+    accepts a request and then goes silent is lost too: each second
+    without an answer the router pings it on a fresh connection, and a
+    worker that leaves the ping unanswered for a second is marked dead,
+    so the request re-hashes about 2 s after its send.  A worker that
+    answers the ping is only busy (its queue and each request's
+    [timeout_s] are its own to enforce), and the request keeps waiting.
+    Sessions pinned to a lost worker return a [worker-lost] error.
+    [metrics] and [shutdown] give each worker a second to answer.
+    Per-worker admission is bounded: at most [worker_inflight] requests
+    are in flight per worker, further ones wait (backpressure, not queue
+    growth).
 
     [metrics] fans out to every worker and returns
     [{router: <own snapshot>, workers: {<name>: <snapshot | error>}}];

@@ -16,27 +16,6 @@ let make ~id ~image_id ~kind ~bbox = { id; image_id; kind; bbox }
 let object_type t =
   match t.kind with Face _ -> "face" | Text _ -> "text" | Thing cls -> cls
 
-let attrs t =
-  let base = [ (Attr.object_type, Attr.Str (object_type t)) ] in
-  let specific =
-    match t.kind with
-    | Face f ->
-        [
-          (Attr.face_id, Attr.Int f.face_id);
-          (Attr.smiling, Attr.Bool f.smiling);
-          (Attr.eyes_open, Attr.Bool f.eyes_open);
-          (Attr.mouth_open, Attr.Bool f.mouth_open);
-          (Attr.age_low, Attr.Int f.age_low);
-          (Attr.age_high, Attr.Int f.age_high);
-        ]
-    | Text body -> [ (Attr.text_body, Attr.Str body) ]
-    | Thing _ -> []
-  in
-  Attr.of_list (base @ specific)
-
-let is_face t = match t.kind with Face _ -> true | Text _ | Thing _ -> false
-let is_text t = match t.kind with Text _ -> true | Face _ | Thing _ -> false
-
 let equal a b = a = b
 
 let pp fmt t =

@@ -1,9 +1,10 @@
 (** Detected objects: the (Φ, Δ) pairs of Definition 3.1.
 
-    An entity is one detected object in one raw image of a batch.  Entities
-    carry a structured [kind] (so the detector and the scene generators can
-    be type-checked) and expose the paper's generic attribute view through
-    {!attrs}.  The identifier is dense — 0 .. n-1 within a batch universe —
+    An entity is one detected object in one raw image of a batch.  Its
+    attribute map Φ is the structured [kind]: a face carries the face
+    attributes, text its body, a thing its class, so the detector, the
+    scene generators and the predicates that read them are type-checked.
+    The identifier is dense — 0 .. n-1 within a batch universe —
     and [image_id] records which raw image the object came from, the device
     the paper uses to let one symbolic image represent a whole batch. *)
 
@@ -25,15 +26,8 @@ type t = { id : int; image_id : int; kind : kind; bbox : Imageeye_geometry.Bbox.
 
 val make : id:int -> image_id:int -> kind:kind -> bbox:Imageeye_geometry.Bbox.t -> t
 
-val attrs : t -> Attr.t
-(** The Φ view: [objectType] plus kind-specific attributes, exactly as in
-    Fig. 2 of the paper ("face" / "text" / the thing class). *)
-
 val object_type : t -> string
 (** The value of the [objectType] attribute. *)
-
-val is_face : t -> bool
-val is_text : t -> bool
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,8 @@
 # generator (asserting every request succeeds, and deadline handling),
 # then SIGTERM it and require a graceful, metrics-dumping, zero-status
 # exit, after which the load generator must count every request to the
-# dead socket as a transport error.  Run via `make serve-smoke`; CI runs
+# dead socket as a transport error and report that no request completed
+# (no latency quantiles).  Run via `make serve-smoke`; CI runs
 # it on every push.
 set -euo pipefail
 
@@ -117,6 +118,14 @@ echo "$out" | grep -q " 4 transport error(s)" || {
 }
 if echo "$out" | grep -q "killed on uncaught exception"; then
   echo "a loadgen thread died instead of counting its requests" >&2
+  exit 1
+fi
+echo "$out" | grep -q "no request completed" || {
+  echo "expected 'no request completed' when every request failed" >&2
+  exit 1
+}
+if echo "$out" | grep -q "p50"; then
+  echo "loadgen reported latency quantiles with no completed request" >&2
   exit 1
 fi
 

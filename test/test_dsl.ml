@@ -57,6 +57,122 @@ let test_entailment_text () =
   Alcotest.(check bool) "phone" true
     (Pred.entails (text_entity "512-555-0100") Pred.Phone_number)
 
+(* The entailment the kind match replaced, kept as the oracle: it built
+   the entity's string-keyed attribute map Φ and looked the attribute up
+   by name, so an attribute the kind lacks was absent. *)
+module Reference_entails = struct
+  module Entity = Imageeye_symbolic.Entity
+
+  type value = Bool of bool | Int of int | Str of string
+
+  module M = Map.Make (String)
+
+  let attrs (e : Entity.t) =
+    let base = [ ("objectType", Str (Entity.object_type e)) ] in
+    let specific =
+      match e.Entity.kind with
+      | Entity.Face f ->
+          [
+            ("faceId", Int f.Entity.face_id);
+            ("Smiling", Bool f.Entity.smiling);
+            ("EyesOpen", Bool f.Entity.eyes_open);
+            ("MouthOpen", Bool f.Entity.mouth_open);
+            ("ageLow", Int f.Entity.age_low);
+            ("ageHigh", Int f.Entity.age_high);
+          ]
+      | Entity.Text body -> [ ("textBody", Str body) ]
+      | Entity.Thing _ -> []
+    in
+    List.fold_left (fun m (k, v) -> M.add k v m) M.empty (base @ specific)
+
+  let bool_attr e name =
+    match M.find_opt name (attrs e) with Some (Bool b) -> b | _ -> false
+
+  let int_attr e name =
+    match M.find_opt name (attrs e) with Some (Int i) -> Some i | _ -> None
+
+  let str_attr e name =
+    match M.find_opt name (attrs e) with Some (Str s) -> Some s | _ -> None
+
+  let is_face e = match e.Entity.kind with Entity.Face _ -> true | _ -> false
+  let is_text e = match e.Entity.kind with Entity.Text _ -> true | _ -> false
+
+  let entails e p =
+    match p with
+    | Pred.Face_object -> is_face e
+    | Pred.Face n -> int_attr e "faceId" = Some n
+    | Pred.Smiling -> bool_attr e "Smiling"
+    | Pred.Eyes_open -> bool_attr e "EyesOpen"
+    | Pred.Mouth_open -> bool_attr e "MouthOpen"
+    | Pred.Below_age n -> (
+        match int_attr e "ageHigh" with Some hi -> hi < n | None -> false)
+    | Pred.Above_age n -> (
+        match int_attr e "ageLow" with Some lo -> lo > n | None -> false)
+    | Pred.Text_object -> is_text e
+    | Pred.Word w -> str_attr e "textBody" = Some w
+    | Pred.Phone_number -> (
+        match str_attr e "textBody" with Some s -> Pred.is_phone_string s | None -> false)
+    | Pred.Price -> (
+        match str_attr e "textBody" with Some s -> Pred.is_price_string s | None -> false)
+    | Pred.Object cls -> (
+        match e.Entity.kind with Entity.Thing c -> c = cls | _ -> false)
+end
+
+let entails_words =
+  [
+    "512-555-0100"; "(512) 555-0100"; "555-0100"; "5125550100"; "51-555-0100";
+    "$4.99"; "4.99"; "$5"; "5"; "$12.9"; "12.999"; "total"; "tax"; "cat"; "face"; "";
+  ]
+
+let entails_classes = [ "cat"; "dog"; "car"; "face"; "text" ]
+
+(* A random face, text or thing, and every predicate constructor with
+   parameters drawn from the same pools the entities use. *)
+let entails_case_gen =
+  let open QCheck2.Gen in
+  let age = int_range 0 80 in
+  let kind =
+    oneof
+      [
+        (let* face_id = int_range 1 4
+         and* smiling = bool
+         and* eyes_open = bool
+         and* mouth_open = bool
+         and* lo = age
+         and* span = int_range 0 10 in
+         return (face ~face_id ~smiling ~eyes_open ~mouth_open ~age_low:lo ~age_high:(lo + span) ()));
+        oneofl entails_words >|= text;
+        oneofl entails_classes >|= thing;
+      ]
+  in
+  let* kind = kind in
+  let* n = int_range 1 4 and* below = age and* above = age in
+  let* w = oneofl entails_words and* cls = oneofl entails_classes in
+  let preds =
+    Pred.
+      [
+        Face_object; Face n; Smiling; Eyes_open; Mouth_open; Below_age below;
+        Above_age above; Text_object; Word w; Phone_number; Price; Object cls;
+      ]
+  in
+  return (Imageeye_symbolic.Entity.make ~id:0 ~image_id:0 ~kind ~bbox:(box 0 0 10 10), preds)
+
+let entails_reference_prop =
+  QCheck2.Test.make ~name:"entails = attribute-map reference" ~count:2000
+    ~print:(fun (e, preds) ->
+      let kind =
+        match e.Imageeye_symbolic.Entity.kind with
+        | Imageeye_symbolic.Entity.Face f ->
+            Printf.sprintf "face %d smiling=%b eyes=%b mouth=%b age %d-%d"
+              f.Imageeye_symbolic.Entity.face_id f.smiling f.eyes_open f.mouth_open f.age_low
+              f.age_high
+        | Imageeye_symbolic.Entity.Text body -> Printf.sprintf "text %S" body
+        | Imageeye_symbolic.Entity.Thing cls -> "thing " ^ cls
+      in
+      kind ^ " | " ^ String.concat ", " (List.map Pred.to_string preds))
+    entails_case_gen (fun (e, preds) ->
+      List.for_all (fun p -> Pred.entails e p = Reference_entails.entails e p) preds)
+
 let test_price_format () =
   List.iter
     (fun s -> Alcotest.(check bool) (s ^ " is price") true (Pred.is_price_string s))
@@ -367,6 +483,7 @@ let () =
           Alcotest.test_case "price format" `Quick test_price_format;
           Alcotest.test_case "phone format" `Quick test_phone_format;
           Alcotest.test_case "size" `Quick test_pred_size;
+          QCheck_alcotest.to_alcotest entails_reference_prop;
         ] );
       ( "lang",
         [

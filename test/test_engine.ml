@@ -1,8 +1,9 @@
 (* Tests for the layered search engine: the generic worklist scheduler
    (size-then-depth order, FIFO ties, tiered expansion), the composable
    pruning pipeline (independent pass toggling with per-pass attribution
-   in [stats.prune_counts]), the event recorder, and the Domain pool
-   (submission-order results, exception propagation). *)
+   in [stats.prune_counts]), the event recorder, hole expansion against
+   the implementation it replaced, and the Domain pool (submission-order
+   results, exception propagation). *)
 
 module Scheduler = Imageeye_engine.Scheduler
 module Events = Imageeye_engine.Events
@@ -387,6 +388,130 @@ let test_runner_matches_sequential () =
     (Runner.map ~jobs:3 f xs);
   Alcotest.(check (list int)) "jobs=1 path" (List.map f xs) (Runner.map ~jobs:1 f xs)
 
+(* ---------- Expansion ---------- *)
+
+(* The expansion the one-walk version replaced, kept as the oracle: it
+   rebuilt each spine level through nested option and list maps. *)
+let reference_expand instantiate ~delta root =
+  let rec go (p : Partial.t) =
+    match p.node with
+    | Partial.Hole ->
+        let goal =
+          match Partial.tight_for root ~hole:p with Some g -> g | None -> p.goal
+        in
+        Some (instantiate ~delta goal)
+    | Partial.All | Partial.Is _ -> None
+    | Partial.Complement q ->
+        Option.map (List.map (fun q' -> Partial.make p.goal (Partial.Complement q'))) (go q)
+    | Partial.Union qs ->
+        Option.map
+          (List.map (fun qs' -> Partial.make p.goal (Partial.Union qs')))
+          (go_list qs)
+    | Partial.Intersect qs ->
+        Option.map
+          (List.map (fun qs' -> Partial.make p.goal (Partial.Intersect qs')))
+          (go_list qs)
+    | Partial.Find (q, pr, f) ->
+        Option.map
+          (List.map (fun q' -> Partial.make p.goal (Partial.Find (q', pr, f))))
+          (go q)
+    | Partial.Filter (q, pr) ->
+        Option.map
+          (List.map (fun q' -> Partial.make p.goal (Partial.Filter (q', pr))))
+          (go q)
+  and go_list = function
+    | [] -> None
+    | q :: rest -> (
+        match go q with
+        | Some qs' -> Some (List.map (fun q' -> q' :: rest) qs')
+        | None -> Option.map (List.map (fun rest' -> q :: rest')) (go_list rest))
+  in
+  Option.map
+    (List.map (fun c ->
+         Partial.inherit_tight ~from:root c;
+         c))
+    (go root)
+
+(* A stand-in for the grammar: [delta + 1] fresh instantiations of every
+   shape, annotated with the goal they were asked for. *)
+let stub_instantiate ~delta goal =
+  let hole () = Partial.hole goal in
+  List.filteri
+    (fun i _ -> i <= delta)
+    [
+      Partial.make goal Partial.All;
+      Partial.make goal (Partial.Complement (hole ()));
+      Partial.make goal (Partial.Union [ hole (); hole () ]);
+      Partial.make goal (Partial.Find (hole (), Pred.Smiling, Func.Get_left));
+      Partial.make goal (Partial.Filter (hole (), Pred.Face_object));
+    ]
+
+(* Same shape, parameters and (physical) goals everywhere. *)
+let rec same_candidate (a : Partial.t) (b : Partial.t) =
+  a.goal == b.goal
+  &&
+  match (a.node, b.node) with
+  | Partial.Hole, Partial.Hole | Partial.All, Partial.All -> true
+  | Partial.Is p, Partial.Is q -> Pred.equal p q
+  | Partial.Complement x, Partial.Complement y -> same_candidate x y
+  | Partial.Union xs, Partial.Union ys | Partial.Intersect xs, Partial.Intersect ys ->
+      List.length xs = List.length ys && List.for_all2 same_candidate xs ys
+  | Partial.Find (x, p, f), Partial.Find (y, q, g) ->
+      Pred.equal p q && Func.equal f g && same_candidate x y
+  | Partial.Filter (x, p), Partial.Filter (y, q) -> Pred.equal p q && same_candidate x y
+  | _ -> false
+
+(* Off the spine from [root] to its leftmost hole, [cand] holds [root]'s
+   own subtrees, physically. *)
+let rec shares_off_spine (root : Partial.t) (cand : Partial.t) =
+  match (root.node, cand.node) with
+  | Partial.Hole, _ -> true
+  | Partial.Complement r, Partial.Complement c
+  | Partial.Find (r, _, _), Partial.Find (c, _, _)
+  | Partial.Filter (r, _), Partial.Filter (c, _) ->
+      shares_off_spine r c
+  | Partial.Union rs, Partial.Union cs | Partial.Intersect rs, Partial.Intersect cs ->
+      let rec operands on_spine rs cs =
+        match (rs, cs) with
+        | [], [] -> true
+        | r :: rs, c :: cs ->
+            if (not on_spine) && not (Partial.is_complete r) then shares_off_spine r c && operands true rs cs
+            else r == c && operands on_spine rs cs
+        | _ -> false
+      in
+      operands false rs cs
+  | _ -> false
+
+let expand_reference_prop =
+  QCheck2.Test.make ~name:"expand = nested reference" ~count:500
+    QCheck2.Gen.(
+      let* u = oneof [ universe_gen; multi_image_universe_gen ] in
+      let* target = list_size (int_range 0 3) (int_bound (Imageeye_symbolic.Universe.size u - 1)) in
+      let target = Simage.of_ids u target in
+      let* p = partial_gen ~all_shapes:true u target in
+      let* delta = int_range 0 4 and* tighten = int_range 0 2 in
+      return (u, p, delta, tighten))
+    (fun (u, root, delta, tighten) ->
+      (* Tight entries for the leftmost hole and for a hole that is not
+         filled, or none. *)
+      let tight_goal = Goal.make ~under:(Simage.empty u) ~over:(Simage.full u) in
+      let other = Partial.hole tight_goal in
+      (match Option.map fst (Partial.leftmost_hole root) with
+      | Some h when tighten = 1 -> Partial.set_tight root [ (h, tight_goal) ]
+      | Some h when tighten = 2 -> Partial.set_tight root [ (other, tight_goal); (h, tight_goal) ]
+      | _ -> ());
+      match
+        ( Imageeye_core.Engine_search.expand stub_instantiate ~delta root,
+          reference_expand stub_instantiate ~delta root )
+      with
+      | None, None -> Partial.is_complete root
+      | Some got, Some want ->
+          List.length got = List.length want
+          && List.for_all2 same_candidate got want
+          && List.for_all (shares_off_spine root) got
+          && List.for_all (fun c -> Partial.tight c == Partial.tight root) got
+      | Some _, None | None, Some _ -> false)
+
 let () =
   Alcotest.run "engine"
     [
@@ -422,6 +547,7 @@ let () =
           Alcotest.test_case "ablations solve with more search" `Quick
             test_ablations_search_more;
         ] );
+      ("expansion", [ QCheck_alcotest.to_alcotest expand_reference_prop ]);
       ( "domainpool",
         [
           Alcotest.test_case "rejects zero workers" `Quick test_pool_rejects_zero;

@@ -2,7 +2,8 @@
    membership change — the reason each worker stays warm for its keys),
    the ring's CRC-32 hash, an end-to-end router over two in-process
    daemons, including graceful degradation when a worker is lost
-   mid-run, and the dead-worker re-probe timer. *)
+   mid-run, the dead-worker re-probe timer, and the liveness check that
+   tells a worker which never answers from a busy one. *)
 
 module J = Imageeye_util.Jsonout
 module Jsonin = Imageeye_util.Jsonin
@@ -349,6 +350,219 @@ let test_router_reprobe_rearms () =
   stop_worker ();
   if Sys.file_exists router_path then Sys.remove router_path
 
+(* A stand-in worker that accepts every connection and never answers,
+   holding each one open until stopped. *)
+let silent_worker path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  let held = ref [] and stop = Atomic.make false in
+  let rec loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.select [ fd ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+          let c, _ = Unix.accept fd in
+          held := c :: !held);
+      loop ()
+    end
+  in
+  let thread = Thread.create loop () in
+  fun () ->
+    Atomic.set stop true;
+    Thread.join thread;
+    List.iter Unix.close !held;
+    Unix.close fd;
+    Sys.remove path
+
+(* One request on a fresh connection to the router, with a watchdog: a
+   router that never answers fails the case instead of hanging it. *)
+let rpc_within ~seconds path request =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let line = J.to_line (Protocol.to_json ~id:(J.Int 1) request) ^ "\n" in
+  let rec write_all off =
+    if off < String.length line then
+      write_all (off + Unix.write_substring fd line off (String.length line - off))
+  in
+  write_all 0;
+  match Unix.select [ fd ] [] [] seconds with
+  | [], _, _ -> Alcotest.failf "no answer within %.1f s" seconds
+  | _ -> (
+      match Imageeye_serve.Frame.read_line (Imageeye_serve.Frame.create fd) with
+      | Error e -> Alcotest.failf "reading the answer: %s" (Imageeye_serve.Frame.error_to_string e)
+      | Ok answer -> (
+          match Jsonin.parse answer with
+          | Ok r -> r
+          | Error _ -> Alcotest.failf "malformed answer %s" answer))
+
+(* A worker that never answers must not pin the router: the forward
+   gives up when the worker leaves a ping unanswered too, the answer is
+   a structured error, [metrics] does not wait on the worker, and the
+   SIGTERM drain is not held up. *)
+let test_router_silent_worker () =
+  let worker_path = temp_socket () in
+  let stop_worker = silent_worker worker_path in
+  let router_path = temp_socket () in
+  let config =
+    {
+      Router.default_config with
+      endpoint = Server.Unix_socket router_path;
+      workers = [ Client.Unix_socket worker_path ];
+      quiet = true;
+      retry_dead_s = 30.0;
+    }
+  in
+  let finished = Atomic.make false in
+  let router_thread =
+    Thread.create
+      (fun () ->
+        Router.run config;
+        Atomic.set finished true)
+      ()
+  in
+  let c = Client.connect_retry ~attempts:12 (Client.Unix_socket router_path) in
+  ignore (rpc_ok c Protocol.Ping);
+  Client.close c;
+  let scenes, demos = demo_payload 30 ~images:6 ~demo_images:1 ~seed:3 in
+  let synth = Protocol.Synthesize { scenes; demos; timeout_s = Some 0.5; optimal = false } in
+  let r = rpc_within ~seconds:3.0 router_path synth in
+  Alcotest.(check bool) "an error answer" false (Client.is_ok r);
+  Alcotest.(check string) "worker-lost" "worker-lost" (error_code r);
+  (* The silent worker is now marked dead: the next request is refused
+     at once instead of waiting on it again. *)
+  let r = rpc_within ~seconds:0.5 router_path synth in
+  Alcotest.(check string) "dead worker skipped" "worker-lost" (error_code r);
+  let m =
+    match Jsonin.member "metrics" (rpc_within ~seconds:2.0 router_path Protocol.Metrics) with
+    | Some m -> m
+    | None -> Alcotest.fail "no metrics"
+  in
+  Alcotest.(check int) "no live worker" 0 (member_int m [ "workers_live" ]);
+  let entry =
+    Option.bind (Jsonin.member "workers" m)
+      (Jsonin.member (Router.worker_name (Client.Unix_socket worker_path)))
+  in
+  Alcotest.(check bool) "the worker's entry is an error" true
+    (Option.bind entry (Jsonin.member "error") <> None);
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  let drain = Imageeye_util.Clock.counter () in
+  while (not (Atomic.get finished)) && Imageeye_util.Clock.elapsed_s drain < 1.0 do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "router drained within 1 s of SIGTERM" true (Atomic.get finished);
+  Thread.join router_thread;
+  stop_worker ();
+  if Sys.file_exists router_path then Sys.remove router_path
+
+(* A specification no small program meets, so synthesis runs until its
+   [timeout_s]: in each image of a 4-image wedding batch the objects at
+   positions 0 and 3 modulo 4 are brightened.  (Every other object would
+   not do: a face and its person alternate, so that is [Is(person)].) *)
+let unsolvable_payload () =
+  let scenes = (Dataset.generate ~n_images:4 ~seed:3 Dataset.Wedding).Dataset.scenes in
+  let u = Batch.universe_of_scenes scenes in
+  let demo_of (s : Scene.t) =
+    let n = List.length (Universe.objects_of_image u s.image_id) in
+    let edit pos =
+      if pos mod 4 = 0 || pos mod 4 = 3 then Some (pos, Imageeye_core.Lang.Brighten) else None
+    in
+    { Demo_io.image_id = s.image_id; edits = List.filter_map edit (List.init n Fun.id) }
+  in
+  (scenes, List.map demo_of scenes)
+
+(* A busy worker is not a lost one.  With one job slot on the worker and
+   four requests in flight per worker at the router, short requests wait
+   in the worker's queue behind a long one, past their own [timeout_s]
+   and past that plus a second; the worker answers them (outcome
+   [timeout], [queue_expired]) when the long one ends.  Requests whose
+   [timeout_s] is negative or overflows to infinity are the worker's to
+   answer too.  None of this may cost a [worker-lost] fault or take the
+   worker out of rotation. *)
+let test_router_busy_worker () =
+  let d = Faultnet.start () in
+  let router_path = temp_socket () in
+  let config =
+    {
+      Router.default_config with
+      endpoint = Server.Unix_socket router_path;
+      workers = [ Faultnet.endpoint d ];
+      quiet = true;
+      worker_inflight = 4;
+      retry_dead_s = 30.0;
+    }
+  in
+  let router_thread = Thread.create Router.run config in
+  let c = Client.connect_retry ~attempts:12 (Client.Unix_socket router_path) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (rpc_ok c Protocol.Ping);
+  let outcome r = Option.bind (Jsonin.member "outcome" r) Jsonin.to_string_opt in
+  let scenes, demos = unsolvable_payload () in
+  let synth timeout_s =
+    Protocol.Synthesize { scenes; demos; timeout_s = Some timeout_s; optimal = false }
+  in
+  let answers = Array.make 4 None in
+  let send i timeout_s =
+    Thread.create
+      (fun () -> answers.(i) <- Some (rpc_within ~seconds:20.0 router_path (synth timeout_s)))
+      ()
+  in
+  let long = send 0 2.5 in
+  (* Let the long request reach the worker's only job slot first. *)
+  Thread.delay 0.3;
+  let short = List.init 3 (fun i -> send (i + 1) 0.5) in
+  List.iter Thread.join (long :: short);
+  Array.iteri
+    (fun i a ->
+      match a with
+      | None -> Alcotest.failf "request %d got no answer" i
+      | Some r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "request %d answered by the worker" i)
+            true (Client.is_ok r);
+          Alcotest.(check (option string))
+            (Printf.sprintf "request %d timed out" i)
+            (Some "timeout") (outcome r))
+    answers;
+  (* A budget that is spent before it starts, and one that never ends on
+     a request the worker solves at once. *)
+  let r = rpc_ok c (synth (-5.0)) in
+  Alcotest.(check (option string))
+    "timeout_s -5 answered by the worker" (Some "timeout") (outcome r);
+  let easy_scenes, easy_demos = demo_payload 30 ~images:6 ~demo_images:1 ~seed:3 in
+  let sentinel = 123.25 in
+  let easy =
+    Protocol.Synthesize
+      { scenes = easy_scenes; demos = easy_demos; timeout_s = Some sentinel; optimal = false }
+  in
+  let raw = J.to_line (Protocol.to_json ~id:(J.Int 99) easy) in
+  let raw =
+    let field = Printf.sprintf "\"timeout_s\":%g" sentinel in
+    let n = String.length field in
+    let rec at i = if String.sub raw i n = field then i else at (i + 1) in
+    let i = at 0 in
+    String.sub raw 0 i ^ "\"timeout_s\":1e400"
+    ^ String.sub raw (i + n) (String.length raw - i - n)
+  in
+  (match Client.rpc_raw c raw with
+  | Error msg -> Alcotest.failf "transport error: %s" msg
+  | Ok r ->
+      Alcotest.(check (option string))
+        "timeout_s 1e400 answered by the worker" (Some "success") (outcome r));
+  let m =
+    match Jsonin.member "metrics" (rpc_ok c Protocol.Metrics) with
+    | Some m -> m
+    | None -> Alcotest.fail "no metrics"
+  in
+  Alcotest.(check int) "no worker-lost fault" 0
+    (member_int m [ "router"; "faults"; "worker-lost" ]);
+  Alcotest.(check int) "the worker is live" 1 (member_int m [ "workers_live" ]);
+  Faultnet.stop d;
+  ignore (rpc_ok c Protocol.Shutdown);
+  Thread.join router_thread;
+  if Sys.file_exists router_path then Sys.remove router_path
+
 let () =
   Alcotest.run "router"
     [
@@ -365,5 +579,8 @@ let () =
           Alcotest.test_case "two workers, one lost" `Slow test_router_e2e;
           Alcotest.test_case "failed re-probe re-arms the timer" `Quick
             test_router_reprobe_rearms;
+          Alcotest.test_case "silent worker lost after an unanswered ping" `Quick
+            test_router_silent_worker;
+          Alcotest.test_case "busy worker stays live" `Quick test_router_busy_worker;
         ] );
     ]

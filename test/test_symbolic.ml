@@ -1,57 +1,39 @@
-(* Tests for the symbolic-image substrate: attribute maps, entities, the
+(* Tests for the symbolic-image substrate: entities, the
    universe's precomputed spatial indices, and symbolic-image set algebra. *)
 
-module Attr = Imageeye_symbolic.Attr
 module Entity = Imageeye_symbolic.Entity
 module Universe = Imageeye_symbolic.Universe
 module Simage = Imageeye_symbolic.Simage
 open Test_support
 
-(* ---------- Attr ---------- *)
-
-let test_attr_basics () =
-  let a = Attr.of_list [ ("x", Attr.Int 1); ("y", Attr.Bool true) ] in
-  Alcotest.(check bool) "mem" true (Attr.mem "x" a);
-  Alcotest.(check bool) "find int" true (Attr.find "x" a = Some (Attr.Int 1));
-  Alcotest.(check bool) "missing" true (Attr.find "z" a = None);
-  let a2 = Attr.add "z" (Attr.Str "s") a in
-  Alcotest.(check int) "bindings" 3 (List.length (Attr.bindings a2));
-  Alcotest.(check bool) "original untouched" false (Attr.mem "z" a)
-
-let test_attr_equal () =
-  let a = Attr.of_list [ ("x", Attr.Int 1) ] in
-  let b = Attr.of_list [ ("x", Attr.Int 1) ] in
-  let c = Attr.of_list [ ("x", Attr.Int 2) ] in
-  Alcotest.(check bool) "equal" true (Attr.equal a b);
-  Alcotest.(check bool) "not equal" false (Attr.equal a c)
-
 (* ---------- Entity ---------- *)
 
+(* An entity's attribute map Φ is its typed kind: each kind carries its
+   own attributes, and [object_type] names the kind as Fig. 2 does. *)
 let test_entity_attrs_face () =
   let e =
     Entity.make ~id:0 ~image_id:0
       ~kind:(face ~face_id:8 ~smiling:true ~eyes_open:false ~age_low:20 ~age_high:25 ())
       ~bbox:(box 0 0 10 10)
   in
-  let attrs = Entity.attrs e in
-  Alcotest.(check bool) "objectType face" true
-    (Attr.find Attr.object_type attrs = Some (Attr.Str "face"));
-  Alcotest.(check bool) "faceId" true (Attr.find Attr.face_id attrs = Some (Attr.Int 8));
-  Alcotest.(check bool) "smiling" true (Attr.find Attr.smiling attrs = Some (Attr.Bool true));
-  Alcotest.(check bool) "eyes" true (Attr.find Attr.eyes_open attrs = Some (Attr.Bool false));
-  Alcotest.(check bool) "is_face" true (Entity.is_face e);
-  Alcotest.(check bool) "not text" false (Entity.is_text e)
+  Alcotest.(check string) "objectType" "face" (Entity.object_type e);
+  match e.Entity.kind with
+  | Entity.Face f ->
+      Alcotest.(check int) "faceId" 8 f.Entity.face_id;
+      Alcotest.(check bool) "smiling" true f.Entity.smiling;
+      Alcotest.(check bool) "eyes" false f.Entity.eyes_open;
+      Alcotest.(check (pair int int)) "age range" (20, 25) (f.Entity.age_low, f.Entity.age_high)
+  | Entity.Text _ | Entity.Thing _ -> Alcotest.fail "a face entity's kind is Face"
 
 let test_entity_attrs_text () =
   let e = Entity.make ~id:0 ~image_id:0 ~kind:(text "hello") ~bbox:(box 0 0 10 10) in
-  Alcotest.(check bool) "textBody" true
-    (Attr.find Attr.text_body (Entity.attrs e) = Some (Attr.Str "hello"));
+  Alcotest.(check bool) "textBody" true (e.Entity.kind = Entity.Text "hello");
   Alcotest.(check string) "objectType" "text" (Entity.object_type e)
 
 let test_entity_attrs_thing () =
   let e = Entity.make ~id:0 ~image_id:0 ~kind:(thing "cat") ~bbox:(box 0 0 10 10) in
   Alcotest.(check string) "objectType" "cat" (Entity.object_type e);
-  Alcotest.(check bool) "no faceId" false (Attr.mem Attr.face_id (Entity.attrs e))
+  Alcotest.(check bool) "no face attributes" true (e.Entity.kind = Entity.Thing "cat")
 
 (* ---------- Universe ---------- *)
 
@@ -297,11 +279,6 @@ let test_simage_restrict_to_image () =
 let () =
   Alcotest.run "symbolic"
     [
-      ( "attr",
-        [
-          Alcotest.test_case "basics" `Quick test_attr_basics;
-          Alcotest.test_case "equal" `Quick test_attr_equal;
-        ] );
       ( "entity",
         [
           Alcotest.test_case "face attrs" `Quick test_entity_attrs_face;

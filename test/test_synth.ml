@@ -84,7 +84,8 @@ let test_partial_metrics () =
   Alcotest.(check bool) "hole incomplete" false (Partial.is_complete h);
   let p = Partial.make g (Partial.Union [ h; Partial.make g (Partial.Is Pred.Smiling) ]) in
   Alcotest.(check int) "union size" 4 (Partial.size p);
-  Alcotest.(check int) "holes" 1 (Partial.count_holes p);
+  Alcotest.(check bool) "leftmost hole" true
+    (match Partial.leftmost_hole p with Some (h', _) -> h' == h | None -> false);
   Alcotest.(check bool) "incomplete" true (Partial.to_extractor p = None)
 
 let test_partial_of_extractor_roundtrip () =
@@ -411,6 +412,197 @@ let test_rewrite_recurses () =
   Alcotest.(check bool) "inside complement" true
     (Rewrite.reducible (Peval.Form.Complement bad))
 
+(* The list-based rule matcher the closure-free one replaced, kept as the
+   oracle: the two must agree on every form. *)
+module Reference_rewrite = struct
+  open Peval.Form
+
+  let rec has_hole = function
+    | Hole -> true
+    | Const _ | All | Is _ -> false
+    | Complement t | Find (t, _, _) | Filter (t, _) -> has_hole t
+    | Union ts | Intersect ts -> List.exists has_hole ts
+
+  let definitely_equal a b = (not (has_hole a)) && (not (has_hole b)) && equal a b
+
+  let rec sorted_operands = function
+    | [] | [ _ ] -> true
+    | a :: (b :: _ as rest) -> compare a b <= 0 && sorted_operands rest
+
+  let exists_pair p xs =
+    List.exists (fun (i, a) -> List.exists (fun (j, b) -> i <> j && p a b) xs) xs
+
+  let indexed xs = List.mapi (fun i x -> (i, x)) xs
+  let const_value = function Const v -> Some v | _ -> None
+
+  let const_domination xs =
+    exists_pair
+      (fun a b ->
+        match (const_value a, const_value b) with
+        | Some va, Some vb -> Simage.subset va vb
+        | _ -> false)
+      (indexed xs)
+
+  let is_union = function Union _ -> true | _ -> false
+  let is_intersect = function Intersect _ -> true | _ -> false
+  let is_complement = function Complement _ -> true | _ -> false
+
+  let absorption ~dual_members xs =
+    let member_of a b =
+      match dual_members b with
+      | Some members -> List.exists (definitely_equal a) members
+      | None -> false
+    in
+    exists_pair member_of (indexed xs)
+
+  let distribution ~dual_members xs =
+    let duals = List.filter_map dual_members xs in
+    let share ms ms' = List.exists (fun a -> List.exists (definitely_equal a) ms') ms in
+    let rec pairs = function
+      | [] -> false
+      | ms :: rest -> List.exists (share ms) rest || pairs rest
+    in
+    pairs duals
+
+  let intersect_members = function Intersect ms -> Some ms | _ -> None
+  let union_members = function Union ms -> Some ms | _ -> None
+  let syntactic_idempotence xs = exists_pair definitely_equal (indexed xs)
+
+  let rule_matches t =
+    match t with
+    | Hole | Const _ | All | Is _ -> false
+    | Complement (Complement _) -> true
+    | Complement _ -> false
+    | Union xs ->
+        List.exists is_union xs
+        || (not (sorted_operands xs))
+        || const_domination xs
+        || syntactic_idempotence xs
+        || absorption ~dual_members:intersect_members xs
+        || List.for_all is_complement xs
+        || distribution ~dual_members:intersect_members xs
+    | Intersect xs ->
+        List.exists is_intersect xs
+        || (not (sorted_operands xs))
+        || const_domination xs
+        || syntactic_idempotence xs
+        || absorption ~dual_members:union_members xs
+        || List.for_all is_complement xs
+        || distribution ~dual_members:union_members xs
+    | Find _ | Filter _ -> false
+
+  let rec reducible t =
+    rule_matches t
+    ||
+    match t with
+    | Hole | Const _ | All | Is _ -> false
+    | Complement t1 | Find (t1, _, _) | Filter (t1, _) -> reducible t1
+    | Union ts | Intersect ts -> List.exists reducible ts
+end
+
+(* Random forms up to depth 4 with 2-3 operands per n-ary node.  Each
+   n-ary node draws its operands from a small pool, so operands repeat
+   (as the same value or rebuilt), recur as members of dual siblings, and
+   come back under a Find or Filter with other parameters or as an
+   operator missing its last operand.  Three in four operand lists are
+   sorted, so the rules behind the canonical order check decide too.  A form's
+   constants come either from two universes built from the same scene,
+   so equal sets also meet as separately interned values, or from a
+   64-object universe, where a set holding object 62 (the sign bit of
+   its first word) orders before its own subsets. *)
+let rewrite_form_gen =
+  let open QCheck2.Gen in
+  let u1 = three_cats_universe () and u2 = three_cats_universe () in
+  let u64 =
+    universe (List.init 64 (fun i -> (0, thing "cat", box ((i mod 8) * 40) ((i / 8) * 40) 30 30)))
+  in
+  let small_consts =
+    let* ids = oneofl [ []; [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 1; 2 ]; [ 0; 1; 2 ] ] in
+    let* other = bool in
+    return (Peval.Form.Const (Simage.of_ids (if other then u2 else u1) ids))
+  in
+  let wide_consts =
+    oneofl [ []; [ 0 ]; [ 62 ]; [ 0; 62 ]; [ 1; 62 ]; [ 0; 1; 62 ]; [ 63 ]; [ 62; 63 ] ]
+    >|= fun ids -> Peval.Form.Const (Simage.of_ids u64 ids)
+  in
+  let rec rebuild = function
+    | Peval.Form.Const v -> Peval.Form.Const (Simage.of_ids (Simage.universe v) (Simage.to_ids v))
+    | Peval.Form.Complement t -> Peval.Form.Complement (rebuild t)
+    | Peval.Form.Union ts -> Peval.Form.Union (List.map rebuild ts)
+    | Peval.Form.Intersect ts -> Peval.Form.Intersect (List.map rebuild ts)
+    | Peval.Form.Find (t, p, f) -> Peval.Form.Find (rebuild t, p, f)
+    | Peval.Form.Filter (t, p) -> Peval.Form.Filter (rebuild t, p)
+    | (Peval.Form.Hole | Peval.Form.All | Peval.Form.Is _) as t -> t
+  in
+  let truncated = function
+    | Peval.Form.Union (_ :: _ :: _ as ts) ->
+        Peval.Form.Union (List.rev (List.tl (List.rev ts)))
+    | Peval.Form.Intersect (_ :: _ :: _ as ts) ->
+        Peval.Form.Intersect (List.rev (List.tl (List.rev ts)))
+    | t -> t
+  in
+  let pred = oneofl [ Pred.Smiling; Pred.Face_object ] in
+  let func = oneofl [ Func.Get_left; Func.Get_right ] in
+  let forms const =
+    let leaf =
+      frequency
+        [
+          (1, return Peval.Form.Hole);
+          (4, const);
+          (1, return Peval.Form.All);
+          (1, pred >|= fun p -> Peval.Form.Is p);
+        ]
+    in
+    let rec gen depth =
+      if depth = 0 then leaf
+      else
+        let sub = gen (depth - 1) in
+        frequency
+          [
+            (2, leaf);
+            (1, sub >|= fun t -> Peval.Form.Complement t);
+            (1, triple sub pred func >|= fun (t, p, f) -> Peval.Form.Find (t, p, f));
+            (1, pair sub pred >|= fun (t, p) -> Peval.Form.Filter (t, p));
+            (3, nary depth true);
+            (3, nary depth false);
+          ]
+    and nary depth union =
+      let sub = gen (depth - 1) in
+      let* pool = list_size (int_range 1 2) sub in
+      let variant =
+        let from_pool = oneofl pool in
+        frequency [ (2, from_pool); (1, from_pool >|= rebuild); (1, from_pool >|= truncated) ]
+      in
+      let operands gen =
+        let* xs = list_size (int_range 2 3) gen in
+        let* sort = int_bound 3 in
+        return (if sort > 0 then List.sort Peval.Form.compare xs else xs)
+      in
+      let operand =
+        frequency
+          [
+            (2, sub);
+            (4, variant);
+            (1, variant >|= fun t -> Peval.Form.Complement t);
+            (1, triple variant pred func >|= fun (t, p, f) -> Peval.Form.Find (t, p, f));
+            (1, pair variant pred >|= fun (t, p) -> Peval.Form.Filter (t, p));
+            ( 2,
+              operands (oneof [ variant; sub ]) >|= fun ms ->
+              if union then Peval.Form.Intersect ms else Peval.Form.Union ms );
+          ]
+      in
+      operands operand >|= fun xs ->
+      if union then Peval.Form.Union xs else Peval.Form.Intersect xs
+    in
+    int_range 1 4 >>= gen
+  in
+  oneof [ forms small_consts; forms wide_consts ]
+
+let rewrite_reference_prop =
+  QCheck2.Test.make ~name:"reducible = list-based reference" ~count:10000
+    ~print:(Format.asprintf "%a" Peval.Form.pp) rewrite_form_gen (fun t ->
+      Rewrite.reducible t = Reference_rewrite.reducible t)
+
 (* ---------- Vocab ---------- *)
 
 let test_vocab_contents () =
@@ -653,6 +845,7 @@ let () =
           Alcotest.test_case "distribution" `Quick test_rewrite_distribution;
           Alcotest.test_case "associativity" `Quick test_rewrite_associativity;
           Alcotest.test_case "recurses into subterms" `Quick test_rewrite_recurses;
+          QCheck_alcotest.to_alcotest rewrite_reference_prop;
         ] );
       ( "vocab",
         [
